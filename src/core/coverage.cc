@@ -18,12 +18,11 @@ double RandCoverage::Score(UserId u, ItemId i) const {
   return static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
-StatCoverage::StatCoverage(const RatingDataset& train) {
-  score_.resize(static_cast<size_t>(train.num_items()));
-  for (ItemId i = 0; i < train.num_items(); ++i) {
-    score_[static_cast<size_t>(i)] =
-        1.0 / std::sqrt(static_cast<double>(train.Popularity(i)) + 1.0);
-  }
+StatCoverage::StatCoverage(const RatingDataset& train)
+    : score_(train.PopularityVector()) {
+  // PopularityVector holds the exact counts, so this matches the CSC
+  // column lengths bit for bit without needing residency.
+  for (double& s : score_) s = 1.0 / std::sqrt(s + 1.0);
 }
 
 double StatCoverage::Score(UserId /*u*/, ItemId i) const {

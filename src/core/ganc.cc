@@ -107,7 +107,7 @@ Result<TopNCollection> Ganc::RunOslg(const RatingDataset& train,
     std::iota(sample.begin(), sample.end(), 0);
   } else if (config.kde_sampling) {
     Result<std::vector<size_t>> drawn = KdeProportionalSample(
-        theta_, static_cast<size_t>(config.sample_size), &rng);
+        theta_, static_cast<size_t>(config.sample_size), &rng, config.pool);
     if (!drawn.ok()) return drawn.status();
     sample = std::move(drawn).value();
   } else {

@@ -52,7 +52,10 @@ struct GancConfig {
   /// ...and visit sampled users in increasing theta instead of arbitrary
   /// (shuffled) order.
   bool order_by_theta = true;
-  /// Optional pool for the parallel phase (and Rand/Stat per-user loop).
+  /// Optional pool for the parallel phase, the Rand/Stat per-user loop,
+  /// and OSLG's KDE density evaluations (Algorithm 1, line 2). Every use
+  /// keeps its serial per-user arithmetic, so the collection is
+  /// bit-identical with or without a pool and for every pool size.
   ThreadPool* pool = nullptr;
 };
 

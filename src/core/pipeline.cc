@@ -68,6 +68,7 @@ GancPipeline::GancPipeline(std::unique_ptr<Recommender> base,
     scorer_ = std::make_unique<NormalizedAccuracyScorer>(base_.get());
   }
   ganc_ = std::make_unique<Ganc>(scorer_.get(), theta_, config_.coverage);
+  coverage_ = MakeCoverage(config_.coverage, *train_, config_.seed);
 }
 
 Status GancPipeline::Save(std::ostream& os) const {
@@ -236,15 +237,13 @@ Result<TopNCollection> GancPipeline::RecommendAll() const {
 }
 
 std::vector<ItemId> GancPipeline::RecommendForUser(UserId u) const {
-  const std::unique_ptr<CoverageModel> coverage =
-      MakeCoverage(config_.coverage, *train_, config_.seed);
   ScoringContext ctx;
   const std::span<double> acc =
       ctx.Scores(static_cast<size_t>(train_->num_items()));
   scorer_->ScoreInto(u, acc);
   train_->UnratedItemsInto(u, &ctx.Candidates());
   std::vector<ItemId> out;
-  GreedyTopNForUserInto(acc, theta_[static_cast<size_t>(u)], *coverage, u,
+  GreedyTopNForUserInto(acc, theta_[static_cast<size_t>(u)], *coverage_, u,
                         ctx.Candidates(), config_.top_n, ctx, out);
   return out;
 }

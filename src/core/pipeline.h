@@ -152,6 +152,9 @@ class GancPipeline {
   LongTailInfo tail_;
   std::unique_ptr<AccuracyScorer> scorer_;
   std::unique_ptr<Ganc> ganc_;
+  /// RecommendForUser's coverage model, built once: it is never
+  /// Observed, so concurrent const calls can share it.
+  std::unique_ptr<CoverageModel> coverage_;
   std::unique_ptr<ThreadPool> owned_pool_;  // when config_.num_threads != 1
 };
 

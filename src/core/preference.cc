@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <span>
 
 #include "util/logging.h"
 #include "util/rng.h"
@@ -34,47 +36,94 @@ std::vector<double> NormalizedLongtailPreference(const RatingDataset& train,
   return theta;
 }
 
-std::vector<std::vector<double>> PerUserItemPreference(
-    const RatingDataset& train) {
+namespace {
+
+/// theta_ui of every rating, projected onto [0, 1], in CSR order: user
+/// u's values start at train.RowStart(u). `pop` holds the item
+/// popularity counts they were computed from.
+struct ThetaUi {
+  std::vector<double> pop;
+  std::vector<double> values;
+};
+
+/// Fills `out` in one budgeted row sweep, with popularity from the
+/// counting sweep PopularityVector. The sweep validates mapped rows
+/// before any item id in them is used as an index, and a corrupt row
+/// ends it with that error.
+Status BuildThetaUi(const RatingDataset& train, ThetaUi* out) {
   const double num_users = static_cast<double>(train.num_users());
-  std::vector<std::vector<double>> theta_ui(
-      static_cast<size_t>(train.num_users()));
+  out->pop = train.PopularityVector();
+  out->values.assign(static_cast<size_t>(train.num_ratings()), 0.0);
   double lo = 0.0, hi = 0.0;
   bool first = true;
-  for (UserId u = 0; u < train.num_users(); ++u) {
-    const auto& row = train.ItemsOf(u);
-    auto& out = theta_ui[static_cast<size_t>(u)];
-    out.reserve(row.size());
-    for (const ItemRating& ir : row) {
-      const double pop = static_cast<double>(train.Popularity(ir.item));
-      const double v =
-          static_cast<double>(ir.value) * std::log(num_users / pop);
-      out.push_back(v);
-      if (first) {
-        lo = hi = v;
-        first = false;
-      } else {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-    }
-  }
+  GANC_RETURN_NOT_OK(train.SweepRowWindows(
+      train.train_budget_bytes(), 1, [&](const RowWindow& w) {
+        for (UserId u = w.begin; u < w.end; ++u) {
+          double* dst = out->values.data() + train.RowStart(u);
+          for (const ItemRating& ir : train.ItemsOf(u)) {
+            const double pop = out->pop[static_cast<size_t>(ir.item)];
+            const double v =
+                static_cast<double>(ir.value) * std::log(num_users / pop);
+            *dst++ = v;
+            if (first) {
+              lo = hi = v;
+              first = false;
+            } else {
+              lo = std::min(lo, v);
+              hi = std::max(hi, v);
+            }
+          }
+        }
+        return Status::OK();
+      }));
   // Global projection onto [0, 1] (Section II-C requires |theta_ui -
   // theta_u| <= 1, guaranteed once both live in the unit interval).
   const double range = hi - lo;
-  for (auto& row : theta_ui) {
-    for (double& v : row) v = range > 0.0 ? (v - lo) / range : 0.0;
+  for (double& v : out->values) v = range > 0.0 ? (v - lo) / range : 0.0;
+  return Status::OK();
+}
+
+/// Per-user mean of CSR-ordered theta_ui: theta^T before normalization,
+/// and the theta^G initial point. Empty rows get 0.
+std::vector<double> RowMeans(const RatingDataset& train,
+                             const std::vector<double>& values) {
+  std::vector<double> means(static_cast<size_t>(train.num_users()), 0.0);
+  for (UserId u = 0; u < train.num_users(); ++u) {
+    const size_t begin = static_cast<size_t>(train.RowStart(u));
+    const size_t count = static_cast<size_t>(train.Activity(u));
+    if (count == 0) continue;
+    double sum = 0.0;
+    for (size_t k = begin; k < begin + count; ++k) sum += values[k];
+    means[static_cast<size_t>(u)] = sum / static_cast<double>(count);
+  }
+  return means;
+}
+
+}  // namespace
+
+std::vector<std::vector<double>> PerUserItemPreference(
+    const RatingDataset& train) {
+  ThetaUi flat;
+  if (!BuildThetaUi(train, &flat).ok()) {
+    flat.values.assign(static_cast<size_t>(train.num_ratings()), 0.0);
+  }
+  std::vector<std::vector<double>> theta_ui(
+      static_cast<size_t>(train.num_users()));
+  for (UserId u = 0; u < train.num_users(); ++u) {
+    const auto first = flat.values.begin() +
+                       static_cast<std::ptrdiff_t>(train.RowStart(u));
+    theta_ui[static_cast<size_t>(u)].assign(first,
+                                            first + train.Activity(u));
   }
   return theta_ui;
 }
 
 std::vector<double> TfidfPreference(const RatingDataset& train) {
-  const std::vector<std::vector<double>> theta_ui =
-      PerUserItemPreference(train);
-  std::vector<double> theta(static_cast<size_t>(train.num_users()), 0.0);
-  for (UserId u = 0; u < train.num_users(); ++u) {
-    theta[static_cast<size_t>(u)] = Mean(theta_ui[static_cast<size_t>(u)]);
-  }
+  ThetaUi theta_ui;
+  std::vector<double> theta =
+      BuildThetaUi(train, &theta_ui).ok()
+          ? RowMeans(train, theta_ui.values)
+          : std::vector<double>(static_cast<size_t>(train.num_users()), 0.0);
   MinMaxNormalize(&theta);
   return theta;
 }
@@ -89,56 +138,58 @@ Result<GeneralizedPreferenceResult> GeneralizedPreference(
   }
   const int32_t n_users = train.num_users();
   const int32_t n_items = train.num_items();
-  const std::vector<std::vector<double>> theta_ui =
-      PerUserItemPreference(train);
+  ThetaUi theta_ui;
+  GANC_RETURN_NOT_OK(BuildThetaUi(train, &theta_ui));
+  const auto row_values = [&](UserId u) {
+    return std::span<const double>(theta_ui.values)
+        .subspan(static_cast<size_t>(train.RowStart(u)),
+                 static_cast<size_t>(train.Activity(u)));
+  };
 
   GeneralizedPreferenceResult result;
   // Initial point: equal item weights, i.e. theta^G == theta^T (the paper
   // notes Eq. II.6 reduces to theta^T when w_i = 1).
-  result.theta.assign(static_cast<size_t>(n_users), 0.0);
-  for (UserId u = 0; u < n_users; ++u) {
-    result.theta[static_cast<size_t>(u)] =
-        Mean(theta_ui[static_cast<size_t>(u)]);
-  }
+  result.theta = RowMeans(train, theta_ui.values);
   result.item_weight.assign(static_cast<size_t>(n_items), 1.0);
 
+  std::vector<double> eps(static_cast<size_t>(n_items));
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // w-step (Eq. II.5): w_i = lambda1 / eps_i with the mediocrity
     // coefficient eps_i = sum_{u in U_i} [1 - (theta_ui - theta_u)^2].
     // Each summand is in [0, 1], so eps_i >= 0; items whose raters all sit
     // at maximal disagreement get a tiny floor to keep w finite.
-    for (ItemId i = 0; i < n_items; ++i) {
-      const auto& col = train.UsersOf(i);
-      if (col.empty()) {
-        result.item_weight[static_cast<size_t>(i)] = 0.0;
-        continue;
+    //
+    // One pass over the rows in user order feeds every item's
+    // accumulator its raters in ascending user order — the order of
+    // U_i — so each eps_i is summed exactly as a column walk would,
+    // without a column index or a per-rating search.
+    std::fill(eps.begin(), eps.end(), 0.0);
+    for (UserId u = 0; u < n_users; ++u) {
+      const auto row = train.ItemsOf(u);
+      const std::span<const double> values = row_values(u);
+      const double theta_u = result.theta[static_cast<size_t>(u)];
+      for (size_t k = 0; k < row.size(); ++k) {
+        const double d = values[k] - theta_u;
+        eps[static_cast<size_t>(row[k].item)] += 1.0 - d * d;
       }
-      double eps = 0.0;
-      for (const UserRating& ur : col) {
-        // Locate theta_ui for this (u, i): rows are sorted by item id.
-        const auto& row = train.ItemsOf(ur.user);
-        const auto it = std::lower_bound(
-            row.begin(), row.end(), i,
-            [](const ItemRating& a, ItemId b) { return a.item < b; });
-        const size_t pos = static_cast<size_t>(it - row.begin());
-        const double d = theta_ui[static_cast<size_t>(ur.user)][pos] -
-                         result.theta[static_cast<size_t>(ur.user)];
-        eps += 1.0 - d * d;
-      }
-      result.item_weight[static_cast<size_t>(i)] =
-          options.lambda1 / std::max(eps, 1e-9);
+    }
+    for (size_t i = 0; i < eps.size(); ++i) {
+      result.item_weight[i] = theta_ui.pop[i] == 0.0
+                                  ? 0.0
+                                  : options.lambda1 / std::max(eps[i], 1e-9);
     }
 
     // theta-step (Eq. II.6): weighted average of theta_ui.
     double max_delta = 0.0;
     for (UserId u = 0; u < n_users; ++u) {
-      const auto& row = train.ItemsOf(u);
+      const auto row = train.ItemsOf(u);
       if (row.empty()) continue;
+      const std::span<const double> values = row_values(u);
       double num = 0.0, den = 0.0;
       for (size_t k = 0; k < row.size(); ++k) {
         const double w =
             result.item_weight[static_cast<size_t>(row[k].item)];
-        num += w * theta_ui[static_cast<size_t>(u)][k];
+        num += w * values[k];
         den += w;
       }
       const double next = den > 0.0 ? num / den : 0.0;
@@ -157,10 +208,10 @@ Result<GeneralizedPreferenceResult> GeneralizedPreference(
   // Total weighted mediocrity O(w, theta) for diagnostics.
   double objective = 0.0;
   for (UserId u = 0; u < n_users; ++u) {
-    const auto& row = train.ItemsOf(u);
+    const auto row = train.ItemsOf(u);
+    const std::span<const double> values = row_values(u);
     for (size_t k = 0; k < row.size(); ++k) {
-      const double d = theta_ui[static_cast<size_t>(u)][k] -
-                       result.theta[static_cast<size_t>(u)];
+      const double d = values[k] - result.theta[static_cast<size_t>(u)];
       objective +=
           result.item_weight[static_cast<size_t>(row[k].item)] * (1.0 - d * d);
     }

@@ -38,7 +38,10 @@ std::vector<double> NormalizedLongtailPreference(const RatingDataset& train,
 
 /// Per-user-item value theta_ui = r_ui * log(|U| / |U_i^R|), globally
 /// min-max projected onto [0, 1] (the projection required by Section II-C).
-/// Returned in the same order as train.ItemsOf(u) per user.
+/// Returned in the same order as train.ItemsOf(u) per user. Works on
+/// mapped datasets without residency; a mapped dataset whose rows fail
+/// validation yields all-zero values (GeneralizedPreference returns the
+/// validation error instead).
 std::vector<std::vector<double>> PerUserItemPreference(
     const RatingDataset& train);
 
@@ -67,6 +70,11 @@ struct GeneralizedPreferenceResult {
 ///   w_i      = lambda1 / eps_i,  eps_i = sum_{u in U_i} 1 - (theta_ui - theta_u)^2
 ///   theta_u  = sum_i w_i theta_ui / sum_i w_i
 /// from the theta^T initial point until the theta updates stabilize.
+/// Every step walks the CSR rows; the w-step adds into one accumulator
+/// per item, which receives its raters in ascending user order, the
+/// order of U_i. No step needs the CSC index, so mapped datasets work
+/// without residency, and a corrupt mapped row comes back as the row
+/// sweep's validation error.
 Result<GeneralizedPreferenceResult> GeneralizedPreference(
     const RatingDataset& train,
     const GeneralizedPreferenceOptions& options = {});

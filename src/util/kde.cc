@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace ganc {
 
@@ -63,7 +64,7 @@ double KernelDensity::SampleTruncated(double lo, double hi, Rng* rng) const {
 }
 
 Result<std::vector<size_t>> KdeProportionalSample(
-    const std::vector<double>& values, size_t k, Rng* rng) {
+    const std::vector<double>& values, size_t k, Rng* rng, ThreadPool* pool) {
   if (k > values.size()) {
     return Status::InvalidArgument(
         "KdeProportionalSample: k exceeds population size");
@@ -72,9 +73,11 @@ Result<std::vector<size_t>> KdeProportionalSample(
   Result<KernelDensity> kde = KernelDensity::Fit(values);
   if (!kde.ok()) return kde.status();
   std::vector<double> weights(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    weights[i] = std::max(kde->Pdf(values[i]), 1e-12);
-  }
+  ParallelForChunks(pool, 0, values.size(), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      weights[i] = std::max(kde->Pdf(values[i]), 1e-12);
+    }
+  });
   return WeightedSampleWithoutReplacement(weights, k, rng);
 }
 

@@ -16,6 +16,8 @@
 
 namespace ganc {
 
+class ThreadPool;
+
 /// Bandwidth selection rule for KernelDensity.
 enum class BandwidthRule {
   /// Silverman's rule of thumb: 0.9 * min(sd, IQR/1.34) * n^(-1/5).
@@ -62,8 +64,15 @@ class KernelDensity {
 /// density at values[u]. This is the user-sampling step of OSLG: users in
 /// dense regions of the preference distribution are more likely to be
 /// chosen for the sequential phase. Requires k <= values.size().
+///
+/// The n density evaluations cost O(n^2) and are independent, so a
+/// non-null `pool` spreads them over its workers in contiguous chunks.
+/// Each density keeps its serial j = 0..n-1 summation order, so the
+/// weights — and therefore the drawn indices — are bit-identical for a
+/// null pool and for every pool size.
 Result<std::vector<size_t>> KdeProportionalSample(
-    const std::vector<double>& values, size_t k, Rng* rng);
+    const std::vector<double>& values, size_t k, Rng* rng,
+    ThreadPool* pool = nullptr);
 
 }  // namespace ganc
 

@@ -4,6 +4,9 @@
 
 #include "core/pipeline.h"
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -15,6 +18,7 @@
 #include "data/synthetic.h"
 #include "recommender/pop.h"
 #include "recommender/psvd.h"
+#include "util/serialize.h"
 
 namespace ganc {
 namespace {
@@ -49,6 +53,48 @@ std::string Serialize(const GancPipeline& pipeline) {
   std::ostringstream os(std::ios::binary);
   EXPECT_TRUE(pipeline.Save(os).ok());
   return os.str();
+}
+
+std::string TestPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Rewrites the dataset cache at `path` with the item id of its last
+/// rating set out of range, re-checksumming the rows section so the
+/// mapped loader accepts the file and only row validation catches it.
+std::string CorruptLastRow(const std::string& path, const std::string& name) {
+  std::string bytes = ReadBytes(path);
+  std::istringstream is(bytes, std::ios::binary);
+  ArtifactReader r(is);
+  EXPECT_TRUE(r.ReadHeader().ok());
+  EXPECT_TRUE(r.ReadSectionExpect(1).ok());
+  EXPECT_TRUE(r.ReadSectionExpect(2).ok());
+  auto rows = r.ReadSectionExpect(6);
+  EXPECT_TRUE(rows.ok());
+  const size_t size = rows->payload().size();
+  const size_t off = bytes.find(rows->payload());
+  EXPECT_NE(off, std::string::npos);
+  // Payload: u64 count, then (i32 item, f32 value) entries.
+  bytes[off + size - 8 + 3] = static_cast<char>(0x7F);
+  const uint64_t checksum = Fnv1aHash(bytes.data() + off, size);
+  for (int i = 0; i < 8; ++i) {
+    bytes[off + size + static_cast<size_t>(i)] =
+        static_cast<char>(checksum >> (8 * i));
+  }
+  const std::string bad_path = TestPath(name);
+  WriteBytes(bad_path, bytes);
+  return bad_path;
 }
 
 TEST(PipelineIoTest, RoundTripReproducesRecommendAllExactly) {
@@ -162,6 +208,90 @@ TEST(PipelineIoTest, ThreadedLoadIsByteIdentical) {
   ASSERT_TRUE(topn_a.ok());
   ASSERT_TRUE(topn_b.ok());
   EXPECT_EQ(*topn_a, *topn_b);
+}
+
+TEST(PipelineIoTest, MappedCacheSavesByteIdenticalArtifact) {
+  // Fit, theta^G and the saved tail statistics all run off budgeted row
+  // sweeps, so a mapped cache trains the same artifact as the eager
+  // dataset without ever materializing the CSC index.
+  const RatingDataset eager = MakeData(80, 120, 5);
+  const std::string cache = TestPath("pipeline_io_mapped.gdc");
+  ASSERT_TRUE(eager.SaveBinaryFile(cache).ok());
+  auto mapped = RatingDataset::LoadMappedFile(cache);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  mapped->set_train_budget_bytes(2048);
+  const std::unique_ptr<GancPipeline> from_eager = MakePipeline(eager);
+  const std::unique_ptr<GancPipeline> from_mapped = MakePipeline(*mapped);
+  ASSERT_NE(from_mapped, nullptr);
+  EXPECT_FALSE(mapped->ResidencyMaterialized());
+  const std::string eager_path = TestPath("pipeline_io_eager.gap");
+  const std::string mapped_path = TestPath("pipeline_io_mapped.gap");
+  ASSERT_TRUE(from_eager->SaveFile(eager_path).ok());
+  ASSERT_TRUE(from_mapped->SaveFile(mapped_path).ok());
+  const std::string eager_bytes = ReadBytes(eager_path);
+  EXPECT_FALSE(eager_bytes.empty());
+  EXPECT_EQ(eager_bytes, ReadBytes(mapped_path));
+}
+
+TEST(PipelineIoTest, MappedCacheStatCoverageMatchesEager) {
+  // Stat coverage reads popularity from the row sweep, so the mapped
+  // pipeline re-ranks identically and stays non-resident.
+  const RatingDataset eager = MakeData(70, 110, 6);
+  const std::string cache = TestPath("pipeline_io_stat.gdc");
+  ASSERT_TRUE(eager.SaveBinaryFile(cache).ok());
+  auto mapped = RatingDataset::LoadMappedFile(cache);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  PipelineConfig config;
+  config.coverage = CoverageKind::kStat;
+  config.seed = 8;
+  auto build = [&](const RatingDataset& train) {
+    auto pipeline = GancPipeline::Create(
+        std::make_unique<PsvdRecommender>(PsvdConfig{.num_factors = 5}),
+        train, config);
+    EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    return std::move(pipeline).value();
+  };
+  const auto from_eager = build(eager);
+  const auto from_mapped = build(*mapped);
+  auto topn_eager = from_eager->RecommendAll();
+  auto topn_mapped = from_mapped->RecommendAll();
+  ASSERT_TRUE(topn_eager.ok());
+  ASSERT_TRUE(topn_mapped.ok());
+  EXPECT_EQ(*topn_eager, *topn_mapped);
+  EXPECT_EQ(from_eager->RecommendForUser(3), from_mapped->RecommendForUser(3));
+  EXPECT_FALSE(mapped->ResidencyMaterialized());
+}
+
+TEST(PipelineIoTest, CorruptMappedRowIsTypedError) {
+  // An out-of-range item id in a mapped row must come back from Create
+  // as the row sweep's validation error, never as an out-of-bounds
+  // index. The base is fitted on the intact data so that theta^G is the
+  // first stage to read the corrupt row; the small budget makes the
+  // sweep place several valid windows before it reaches the bad one.
+  const RatingDataset eager = MakeData(80, 120, 7);
+  const std::string cache = TestPath("pipeline_io_intact.gdc");
+  ASSERT_TRUE(eager.SaveBinaryFile(cache).ok());
+  const std::string bad = CorruptLastRow(cache, "pipeline_io_badrow.gdc");
+  auto mapped = RatingDataset::LoadMappedFile(bad);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  mapped->set_train_budget_bytes(2048);
+
+  auto base = std::make_unique<PsvdRecommender>(PsvdConfig{.num_factors = 4});
+  ASSERT_TRUE(base->Fit(eager).ok());
+  PipelineConfig config;
+  config.fit_base = false;
+  auto pipeline = GancPipeline::Create(std::move(base), *mapped, config);
+  ASSERT_FALSE(pipeline.ok());
+  EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pipeline.status().ToString().find("out of range"),
+            std::string::npos)
+      << pipeline.status().ToString();
+
+  // With the base fitted inside Create, the fit's own sweep reports it.
+  auto refit = GancPipeline::Create(
+      std::make_unique<PsvdRecommender>(PsvdConfig{.num_factors = 4}),
+      *mapped, {});
+  EXPECT_FALSE(refit.ok());
 }
 
 }  // namespace

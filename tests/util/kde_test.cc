@@ -1,11 +1,13 @@
 #include "util/kde.h"
 
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace ganc {
 namespace {
@@ -120,6 +122,35 @@ TEST(KdeProportionalSampleTest, DenseRegionOversampled) {
     if (values[idx] < 0.5) ++dense;
   }
   EXPECT_GT(dense, 70);
+}
+
+TEST(KdeProportionalSampleTest, PoolSizesDrawIdenticalIndices) {
+  // The pool only splits the density evaluations; every pool size must
+  // draw exactly the serial indices, including ranges shorter than the
+  // pool's chunk count and a sample with tied values.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (size_t n : {1u, 2u, 3u, 17u, 5000u}) {
+    std::vector<double> values = GaussianSample(n, 0.5, 0.2, 20 + n);
+    if (n > 2) values[n - 1] = values[0];
+    const size_t k = std::min<size_t>(n, 40);
+    Rng serial_rng(21);
+    auto serial = KdeProportionalSample(values, k, &serial_rng);
+    ASSERT_TRUE(serial.ok());
+    ASSERT_EQ(serial->size(), k);
+    const uint64_t serial_next = serial_rng.UniformInt(uint64_t{1} << 30);
+    for (const auto& pool : pools) {
+      Rng rng(21);
+      auto pooled = KdeProportionalSample(values, k, &rng, pool.get());
+      ASSERT_TRUE(pooled.ok());
+      EXPECT_EQ(*serial, *pooled)
+          << "n=" << n << " threads=" << pool->num_threads();
+      // The generator advanced identically too.
+      EXPECT_EQ(serial_next, rng.UniformInt(uint64_t{1} << 30));
+    }
+  }
 }
 
 TEST(KdeProportionalSampleTest, KZeroGivesEmpty) {
