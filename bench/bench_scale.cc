@@ -33,6 +33,7 @@
 #include "recommender/psvd.h"
 #include "serve/recommendation_service.h"
 #include "serve/topn_store.h"
+#include "util/metrics.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -181,15 +182,15 @@ int PhaseServe(const std::string& dir, int64_t users, bool mmap) {
     }
   }
   const double serve_sec = serve_timer.ElapsedSeconds();
-  const ServeStats stats = (*service)->stats();
+  const MetricsSnapshot stats = (*service)->metrics_registry()->Snapshot();
   std::printf(
       "@RESULT {\"mode\": \"%s\", \"first_request_ms\": %.2f, "
       "\"serve_qps\": %.0f, \"store_hit_rate\": %.3f, "
       "\"peak_rss_mb\": %.1f}\n",
       mmap ? "mmap" : "eager", first_ms,
       static_cast<double>(kServeRequests) / serve_sec,
-      static_cast<double>(stats.store_hits) /
-          static_cast<double>(stats.requests),
+      static_cast<double>(stats.CounterValue("serve_store_hits_total")) /
+          static_cast<double>(stats.CounterValue("serve_requests_total")),
       PeakRssMb());
   return 0;
 }

@@ -690,6 +690,8 @@ RecommendationService* MakeServeService(bool micro_batching,
   config.cache_capacity = cache_capacity;
   config.num_workers = 1;
   config.default_n = 10;
+  // A private registry keeps each service's batch fill its own.
+  config.metrics = std::make_shared<MetricsRegistry>();
   auto service =
       RecommendationService::Create(ServeModel(), ServeBenchTrain(), config);
   if (!service.ok()) {
@@ -715,9 +717,14 @@ void ServeThroughputLoop(benchmark::State& state,
     u = static_cast<UserId>((u + 1) % num_users);
   }
   state.SetItemsProcessed(state.iterations());
-  const ServeStats stats = service->stats();
+  const MetricsSnapshot snap = service->metrics_registry()->Snapshot();
+  const uint64_t batches = snap.CounterValue("serve_batches_total");
   state.counters["mean_batch_fill"] = benchmark::Counter(
-      stats.MeanBatchFill(), benchmark::Counter::kAvgThreads);
+      batches == 0 ? 0.0
+                   : static_cast<double>(
+                         snap.CounterValue("serve_batched_requests_total")) /
+                         static_cast<double>(batches),
+      benchmark::Counter::kAvgThreads);
 }
 
 void BM_ServeThroughput(benchmark::State& state) {

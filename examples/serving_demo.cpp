@@ -24,6 +24,7 @@
 #include "serve/recommendation_service.h"
 #include "serve/session_overlay.h"
 #include "serve/topn_store.h"
+#include "util/metrics.h"
 
 using namespace ganc;
 
@@ -133,8 +134,9 @@ int main() {
   const std::vector<ItemId> want_prefix(
       offline[static_cast<size_t>(hot)].begin(),
       offline[static_cast<size_t>(hot)].begin() + kPrefixN);
+  const MetricsRegistry& metrics = *(*service)->metrics_registry();
   if (!from_store.ok() || *from_store != want_prefix ||
-      (*service)->stats().store_hits == 0) {
+      metrics.Snapshot().CounterValue("serve_store_hits_total") == 0) {
     std::fprintf(stderr, "store parity FAILED for user %d\n", hot);
     return 1;
   }
@@ -165,17 +167,29 @@ int main() {
               "(deltas applied at request time, no retraining)\n",
               (*from_store)[0], (*from_store)[1], (*masked)[0]);
 
-  // 6. Counters.
-  const ServeStats stats = (*service)->stats();
-  std::printf("stats: %llu requests | %llu cache hits | %llu store hits | "
-              "%llu live in %llu batches (mean fill %.2f) | "
-              "mean latency %.1f us\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.cache_hits),
-              static_cast<unsigned long long>(stats.store_hits),
-              static_cast<unsigned long long>(stats.live_scored),
-              static_cast<unsigned long long>(stats.batches),
-              stats.MeanBatchFill(), stats.MeanLatencyUs());
+  // 6. Counters, read from the service's metrics registry.
+  const MetricsSnapshot stats = metrics.Snapshot();
+  const auto count = [&stats](const char* name) {
+    return stats.CounterValue(name);
+  };
+  const auto ratio = [](double num, uint64_t den) {
+    return den == 0 ? 0.0 : num / static_cast<double>(den);
+  };
+  const MetricValue* latency = stats.Find("serve_request_ns");
+  std::printf(
+      "stats: %llu requests | %llu cache hits | %llu store hits | "
+      "%llu live in %llu batches (mean fill %.2f) | "
+      "mean latency %.1f us\n",
+      static_cast<unsigned long long>(count("serve_requests_total")),
+      static_cast<unsigned long long>(count("serve_cache_hits_total")),
+      static_cast<unsigned long long>(count("serve_store_hits_total")),
+      static_cast<unsigned long long>(count("serve_live_scored_total")),
+      static_cast<unsigned long long>(count("serve_batches_total")),
+      ratio(static_cast<double>(count("serve_batched_requests_total")),
+            count("serve_batches_total")),
+      latency == nullptr
+          ? 0.0
+          : ratio(static_cast<double>(latency->sum), latency->u64) / 1000.0);
   std::printf("serving demo finished OK\n");
   return 0;
 }

@@ -117,7 +117,7 @@ Status BprRecommender::Fit(const RatingDataset& train, ThreadPool* pool) {
         UserId lo = b.begin, hi = b.end;  // largest u: RowStart(u) <= ridx
         while (hi - lo > 1) {
           const UserId mid = lo + (hi - lo) / 2;
-          if (train.RowStart(mid) <= ridx) {
+          if (static_cast<int64_t>(train.RowStart(mid)) <= ridx) {
             lo = mid;
           } else {
             hi = mid;

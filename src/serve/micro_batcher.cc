@@ -85,12 +85,6 @@ void MicroBatcher::WorkerLoop() {
 
     fn_(std::span<BatchRequest* const>(batch), ctx);
 
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    requests_.fetch_add(batch.size(), std::memory_order_relaxed);
-    if (batch.size() == config_.batch_size) {
-      full_batches_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (waited) waited_flushes_.fetch_add(1, std::memory_order_relaxed);
     if (const ServeInstruments* m = config_.metrics; m != nullptr) {
       m->batches->Increment();
       m->batched_requests->Increment(batch.size());
@@ -100,13 +94,6 @@ void MicroBatcher::WorkerLoop() {
     }
     for (BatchRequest* r : batch) r->done.release();
   }
-}
-
-MicroBatcher::Counters MicroBatcher::counters() const {
-  return Counters{batches_.load(std::memory_order_relaxed),
-                  requests_.load(std::memory_order_relaxed),
-                  full_batches_.load(std::memory_order_relaxed),
-                  waited_flushes_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace ganc

@@ -78,7 +78,7 @@ struct MicroBatcherConfig {
   /// Upper bound on how long a worker holds a partial block open for
   /// more requests (only when more are provably on their way).
   std::chrono::microseconds max_batch_wait{200};
-  /// Pre-resolved scheduling instruments to mirror the counters into
+  /// Pre-resolved scheduling instruments the batcher counts into
   /// (borrowed, may be null; must outlive the batcher).
   const ServeInstruments* metrics = nullptr;
 };
@@ -90,14 +90,6 @@ class MicroBatcher {
  public:
   using BatchFn =
       std::function<void(std::span<BatchRequest* const>, ScoringContext&)>;
-
-  /// Monotonic scheduling counters.
-  struct Counters {
-    uint64_t batches = 0;          ///< blocks dispatched
-    uint64_t requests = 0;         ///< requests processed
-    uint64_t full_batches = 0;     ///< blocks dispatched at batch_size
-    uint64_t waited_flushes = 0;   ///< partial blocks flushed by the timer
-  };
 
   MicroBatcher(BatchFn fn, MicroBatcherConfig config);
   ~MicroBatcher();
@@ -113,7 +105,6 @@ class MicroBatcher {
   /// destructor.
   void Shutdown();
 
-  Counters counters() const;
   size_t num_workers() const { return workers_.size(); }
   size_t batch_size() const { return config_.batch_size; }
 
@@ -130,11 +121,6 @@ class MicroBatcher {
   /// Callers between Submit entry and enqueue — the "more requests are
   /// on their way" signal the bounded wait keys on.
   std::atomic<size_t> arriving_{0};
-
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> full_batches_{0};
-  std::atomic<uint64_t> waited_flushes_{0};
 
   std::vector<std::thread> workers_;
 };

@@ -1,6 +1,7 @@
 #include "serve/recommendation_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iterator>
 #include <utility>
@@ -17,14 +18,6 @@ namespace {
 // immutable snapshot) gets a distinct version, so cache keys can never
 // collide across snapshot swaps within a process.
 std::atomic<uint64_t> g_next_snapshot_version{1};
-
-void UpdateMax(std::atomic<uint64_t>& target, uint64_t value) {
-  uint64_t seen = target.load(std::memory_order_relaxed);
-  while (value > seen &&
-         !target.compare_exchange_weak(seen, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace
 
@@ -190,15 +183,10 @@ Status RecommendationService::TopNInto(UserId user, int n,
   // live exits below, so requests == cache_hits + store_hits +
   // live_scored in every topology (errors are counted separately and
   // never reach this line).
-  requests_.fetch_add(1, std::memory_order_relaxed);
   instruments_.requests->Increment();
   if (trace != nullptr) trace->user = user;
   const auto record_latency = [&](char outcome) {
-    const uint64_t elapsed_ns = MonotonicNowNs() - start_ns;
-    instruments_.request_ns->Observe(elapsed_ns);
-    const uint64_t elapsed_us = elapsed_ns / 1000;
-    latency_us_sum_.fetch_add(elapsed_us, std::memory_order_relaxed);
-    UpdateMax(latency_us_max_, elapsed_us);
+    instruments_.request_ns->Observe(MonotonicNowNs() - start_ns);
     if (domain_ != nullptr) domain_->Record(*out);
     if (trace != nullptr) trace->outcome = outcome;
   };
@@ -219,7 +207,6 @@ Status RecommendationService::TopNInto(UserId user, int n,
     instruments_.cache_probe_ns->Observe(probed_ns - probe_ns);
     if (trace != nullptr) trace->Stamp(TraceStage::kCacheProbe, probed_ns);
     if (hit) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       instruments_.cache_hits->Increment();
       record_latency('c');
       return Status::OK();
@@ -242,7 +229,6 @@ Status RecommendationService::TopNInto(UserId user, int n,
       out->assign(list.begin(),
                   list.begin() + static_cast<ptrdiff_t>(std::min(
                                      list.size(), static_cast<size_t>(n))));
-      store_hits_.fetch_add(1, std::memory_order_relaxed);
       instruments_.store_hits->Increment();
       record_latency('s');
       return Status::OK();
@@ -278,7 +264,6 @@ Status RecommendationService::TopNInto(UserId user, int n,
     }
   }
   instruments_.score_ns->Observe(MonotonicNowNs() - enqueue_ns);
-  live_scored_.fetch_add(1, std::memory_order_relaxed);
   instruments_.live_scored->Increment();
   if (cache_ != nullptr) cache_->Insert(key, *out);
   record_latency('l');
@@ -405,24 +390,6 @@ Result<TopNStore> RecommendationService::BuildStore(
   }
   return TopNStore::FromLists(train_->num_users(), num_items_, n,
                               train_->Fingerprint(), source_, lists);
-}
-
-ServeStats RecommendationService::stats() const {
-  ServeStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.store_hits = store_hits_.load(std::memory_order_relaxed);
-  s.live_scored = live_scored_.load(std::memory_order_relaxed);
-  if (batcher_ != nullptr) {
-    const MicroBatcher::Counters c = batcher_->counters();
-    s.batches = c.batches;
-    s.batched_requests = c.requests;
-    s.full_batches = c.full_batches;
-    s.waited_flushes = c.waited_flushes;
-  }
-  s.latency_us_sum = latency_us_sum_.load(std::memory_order_relaxed);
-  s.latency_us_max = latency_us_max_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace ganc

@@ -39,7 +39,6 @@
 #ifndef GANC_SERVE_RECOMMENDATION_SERVICE_H_
 #define GANC_SERVE_RECOMMENDATION_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -104,54 +103,6 @@ struct ServiceConfig {
   /// Row-payload residency budget for that sweep; <= 0 uses a fixed
   /// modest default (see serve_metrics.cc).
   int64_t domain_sweep_budget_bytes = 0;
-};
-
-/// Aggregated serving counters (monotonic; snapshot via stats()).
-struct ServeStats {
-  uint64_t requests = 0;
-  uint64_t cache_hits = 0;
-  uint64_t store_hits = 0;
-  uint64_t live_scored = 0;
-  uint64_t batches = 0;
-  uint64_t batched_requests = 0;
-  uint64_t full_batches = 0;
-  uint64_t waited_flushes = 0;
-  uint64_t latency_us_sum = 0;
-  uint64_t latency_us_max = 0;
-
-  double CacheHitRate() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(cache_hits) /
-                               static_cast<double>(requests);
-  }
-  double MeanLatencyUs() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(latency_us_sum) /
-                               static_cast<double>(requests);
-  }
-  double MeanBatchFill() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(batched_requests) /
-                              static_cast<double>(batches);
-  }
-
-  /// Folds `other` into this snapshot: counters add, the latency
-  /// ceiling takes the max. How a shard accumulates a retired
-  /// snapshot's totals and a router sums its shards.
-  void Accumulate(const ServeStats& other) {
-    requests += other.requests;
-    cache_hits += other.cache_hits;
-    store_hits += other.store_hits;
-    live_scored += other.live_scored;
-    batches += other.batches;
-    batched_requests += other.batched_requests;
-    full_batches += other.full_batches;
-    waited_flushes += other.waited_flushes;
-    latency_us_sum += other.latency_us_sum;
-    if (other.latency_us_max > latency_us_max) {
-      latency_us_max = other.latency_us_max;
-    }
-  }
 };
 
 /// Owns the serving snapshot and the request path.
@@ -226,8 +177,6 @@ class RecommendationService {
   int default_n() const { return config_.default_n; }
   bool micro_batching() const { return config_.micro_batching; }
 
-  ServeStats stats() const;
-
   /// The registry this service's instruments live in (the configured
   /// one, or the process-global default). Routers dedupe snapshot
   /// merges on this pointer.
@@ -287,13 +236,6 @@ class RecommendationService {
   /// batcher's config borrows a pointer to this member).
   ServeInstruments instruments_;
   std::unique_ptr<DomainAccountant> domain_;
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> store_hits_{0};
-  std::atomic<uint64_t> live_scored_{0};
-  std::atomic<uint64_t> latency_us_sum_{0};
-  std::atomic<uint64_t> latency_us_max_{0};
 };
 
 }  // namespace ganc

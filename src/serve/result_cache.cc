@@ -35,13 +35,9 @@ bool ServeResultCache::Lookup(const Key& key, std::vector<ItemId>* out) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (it == shard.index.end()) return false;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   out->assign(it->second->items.begin(), it->second->items.end());
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -57,11 +53,9 @@ void ServeResultCache::Insert(const Key& key, std::span<const ItemId> items) {
   shard.lru.push_front(
       Entry{key, std::vector<ItemId>(items.begin(), items.end())});
   shard.index.emplace(key, shard.lru.begin());
-  insertions_.fetch_add(1, std::memory_order_relaxed);
   while (shard.lru.size() > per_shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -80,13 +74,6 @@ size_t ServeResultCache::size() const {
     total += shard.lru.size();
   }
   return total;
-}
-
-ServeResultCache::Counters ServeResultCache::counters() const {
-  return Counters{hits_.load(std::memory_order_relaxed),
-                  misses_.load(std::memory_order_relaxed),
-                  insertions_.load(std::memory_order_relaxed),
-                  evictions_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace ganc

@@ -18,7 +18,6 @@
 #ifndef GANC_SERVE_RESULT_CACHE_H_
 #define GANC_SERVE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -50,15 +49,6 @@ class ServeResultCache {
     bool operator==(const Key&) const = default;
   };
 
-  /// Running hit/miss/eviction counts (monotonic, approximate ordering
-  /// under concurrency).
-  struct Counters {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-  };
-
   /// `capacity` is the total entry budget across all shards (each shard
   /// gets an equal slice, at least one entry). `num_shards` is clamped
   /// to [1, capacity].
@@ -84,8 +74,6 @@ class ServeResultCache {
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 
-  Counters counters() const;
-
  private:
   struct Entry {
     Key key;
@@ -109,10 +97,6 @@ class ServeResultCache {
   size_t capacity_ = 0;
   size_t per_shard_capacity_ = 0;
   std::vector<Shard> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace ganc

@@ -1,5 +1,6 @@
 #include "serve/service_shard.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace ganc {
@@ -105,14 +106,13 @@ Status ServiceShard::Publish(const std::string& path) {
   Result<std::unique_ptr<RecommendationService>> fresh =
       LoadSnapshot(kind_, path, *train_, fresh_config);
   if (!fresh.ok()) {
-    ++rejected_;
     registry
         .GetCounter("serve_publish_rejects_total",
                     "Failed snapshot publishes (old snapshot kept).")
         ->Increment();
     return fresh.status();
   }
-  std::shared_ptr<RecommendationService> replaced = service_.exchange(
+  service_.exchange(
       std::shared_ptr<RecommendationService>(std::move(fresh).value()),
       std::memory_order_acq_rel);
   ++published_;
@@ -124,9 +124,6 @@ Status ServiceShard::Publish(const std::string& path) {
       .GetHistogram("serve_publish_ns",
                     "Publish latency (artifact load + swap), nanoseconds.")
       ->Observe(MonotonicNowNs() - start_ns);
-  std::lock_guard<std::mutex> retired_lock(retired_mu_);
-  retired_.push_back(std::move(replaced));
-  PruneRetiredLocked();
   return Status::OK();
 }
 
@@ -157,32 +154,15 @@ Status ServiceShard::AttachStore(
       std::make_shared<const TopNStore>(std::move(segment).value()));
 }
 
-void ServiceShard::PruneRetiredLocked() const {
-  for (size_t i = 0; i < retired_.size();) {
-    // use_count() == 1 means the retired vector holds the last
-    // reference: every request pinned on that snapshot has completed,
-    // so its counters are final and can be folded in exactly once.
-    if (retired_[i].use_count() == 1) {
-      retired_stats_.Accumulate(retired_[i]->stats());
-      retired_.erase(retired_.begin() + static_cast<ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
+Status ServiceShard::MergeMetricsInto(
+    MetricsSnapshot* snap, std::vector<const MetricsRegistry*>* merged) {
+  const MetricsRegistry* registry = metrics_registry();
+  if (std::find(merged->begin(), merged->end(), registry) != merged->end()) {
+    return Status::OK();
   }
-}
-
-ServeStats ServiceShard::stats() const {
-  std::lock_guard<std::mutex> lock(retired_mu_);
-  PruneRetiredLocked();
-  ServeStats total = retired_stats_;
-  for (const auto& old : retired_) total.Accumulate(old->stats());
-  total.Accumulate(Pin()->stats());
-  return total;
-}
-
-SwapCounters ServiceShard::swap_counters() const {
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  return SwapCounters{published_, rejected_};
+  merged->push_back(registry);
+  snap->MergeFrom(registry->Snapshot());
+  return Status::OK();
 }
 
 }  // namespace ganc

@@ -9,10 +9,10 @@
 // against exactly one snapshot no matter how many Publish calls land
 // mid-flight. Publish loads the replacement artifact in the background
 // (same train set, fingerprint validated by the artifact loader),
-// atomically exchanges the pointer, and parks the old service until its
-// last in-flight request releases it — the old MicroBatcher's
-// destructor drains its queue, so no request is dropped, and the
-// version-keyed result cache (serve/result_cache.h) invalidates
+// atomically exchanges the pointer, and drops its own reference: the
+// last in-flight request's pin destroys the old service, whose
+// MicroBatcher destructor drains its queue, so no request is dropped,
+// and the version-keyed result cache (serve/result_cache.h) invalidates
 // implicitly because the replacement service carries a fresh
 // snapshot_version. Nothing on the request path takes the publish lock.
 //
@@ -42,6 +42,7 @@
 
 #include "data/dataset.h"
 #include "serve/recommendation_service.h"
+#include "serve/shard_backend.h"
 #include "serve/topn_store.h"
 #include "util/status.h"
 
@@ -72,13 +73,7 @@ struct ShardSpec {
   size_t num_shards = 1;
 };
 
-/// Monotonic swap counters.
-struct SwapCounters {
-  uint64_t published = 0;  ///< successful snapshot swaps
-  uint64_t rejected = 0;   ///< failed publishes (old snapshot kept)
-};
-
-class ServiceShard {
+class ServiceShard final : public ShardBackend {
  public:
   /// Loads the initial snapshot from `path` and wraps it as shard
   /// `spec`. `train` must outlive the shard (Publish reloads against
@@ -104,7 +99,7 @@ class ServiceShard {
   Status TopNInto(UserId user, int n, std::span<const ItemId> exclusions,
                   std::vector<ItemId>* out,
                   uint64_t* served_version = nullptr,
-                  RequestTrace* trace = nullptr);
+                  RequestTrace* trace = nullptr) override;
 
   /// Loads the artifact at `path` (fingerprint-validated against the
   /// bound train set), then atomically swaps it in. On failure the old
@@ -116,7 +111,7 @@ class ServiceShard {
   /// one shard the store is attached whole, otherwise a filtered copy
   /// holding only owned users is built (same fingerprint/source/top_n,
   /// so the service-side validity checks still apply).
-  Status AttachStore(const std::shared_ptr<const TopNStore>& store);
+  Status AttachStore(const std::shared_ptr<const TopNStore>& store) override;
 
   /// True when `user` hashes to this shard (single-shard owns everyone).
   bool OwnsUser(UserId user) const {
@@ -126,17 +121,11 @@ class ServiceShard {
 
   ShardSpec spec() const { return spec_; }
   /// Version / source of the snapshot serving right now.
-  uint64_t version() const { return Pin()->snapshot_version(); }
-  std::string source() const { return Pin()->source(); }
+  uint64_t version() const override { return Pin()->snapshot_version(); }
+  std::string source() const override { return Pin()->source(); }
   int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return Pin()->num_items(); }
   int default_n() const { return config_.default_n; }
-
-  /// Lifetime totals: the live snapshot's counters plus every retired
-  /// snapshot's (exact — a retired service's stats are folded in once
-  /// its last request completes).
-  ServeStats stats() const;
-  SwapCounters swap_counters() const;
 
   /// Registry the live snapshot's instruments resolve from — stable
   /// across Publish (the replacement service inherits the shard's
@@ -145,6 +134,13 @@ class ServiceShard {
   MetricsRegistry* metrics_registry() const {
     return Pin()->metrics_registry();
   }
+
+  Status MergeMetricsInto(
+      MetricsSnapshot* snap,
+      std::vector<const MetricsRegistry*>* merged) override;
+
+  /// No-op: this shard's timelines are in TraceRing::Global() already.
+  Status AppendTraces(size_t, std::string*) override { return Status::OK(); }
 
  private:
   ServiceShard(std::unique_ptr<RecommendationService> service,
@@ -155,10 +151,6 @@ class ServiceShard {
     return service_.load(std::memory_order_acquire);
   }
 
-  /// Folds retired services whose last pin has been released into
-  /// `retired_stats_` and drops them. Called under `retired_mu_`.
-  void PruneRetiredLocked() const;
-
   const SnapshotKind kind_;
   const RatingDataset* train_;
   const ShardSpec spec_;
@@ -167,13 +159,8 @@ class ServiceShard {
 
   std::atomic<std::shared_ptr<RecommendationService>> service_;
 
-  mutable std::mutex publish_mu_;  ///< serializes Publish (load + swap)
-  uint64_t published_ = 0;
-  uint64_t rejected_ = 0;
-
-  mutable std::mutex retired_mu_;
-  mutable std::vector<std::shared_ptr<RecommendationService>> retired_;
-  mutable ServeStats retired_stats_;
+  std::mutex publish_mu_;  ///< serializes Publish (load + swap)
+  uint64_t published_ = 0;  ///< successful swaps: the next generation - 1
 };
 
 }  // namespace ganc

@@ -1,6 +1,6 @@
 #include "serve/shard_router.h"
 
-#include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace ganc {
@@ -34,8 +34,12 @@ Status Prefixed(const Status& s, const std::string& prefix) {
 
 }  // namespace
 
-ShardRouter::ShardRouter(std::vector<std::unique_ptr<ServiceShard>> shards)
-    : shards_(std::move(shards)), num_users_(shards_[0]->num_users()) {}
+ShardRouter::ShardRouter(std::vector<std::unique_ptr<ShardBackend>> shards,
+                         int32_t num_users, int32_t num_items, int default_n)
+    : shards_(std::move(shards)),
+      num_users_(num_users),
+      num_items_(num_items),
+      default_n_(default_n) {}
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Load(
     SnapshotKind kind, const std::string& path, const RatingDataset& train,
@@ -43,7 +47,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Load(
   if (num_shards == 0) {
     return Status::InvalidArgument("shard count must be >= 1");
   }
-  std::vector<std::unique_ptr<ServiceShard>> shards;
+  std::vector<std::unique_ptr<ShardBackend>> shards;
   shards.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     Result<std::unique_ptr<ServiceShard>> shard = ServiceShard::Load(
@@ -51,7 +55,9 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Load(
     if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard).value());
   }
-  return std::unique_ptr<ShardRouter>(new ShardRouter(std::move(shards)));
+  return std::unique_ptr<ShardRouter>(
+      new ShardRouter(std::move(shards), train.num_users(), train.num_items(),
+                      config.default_n));
 }
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::FromShards(
@@ -73,7 +79,30 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::FromShards(
           std::to_string(shards.size()));
     }
   }
-  return std::unique_ptr<ShardRouter>(new ShardRouter(std::move(shards)));
+  const int32_t num_users = shards[0]->num_users();
+  const int32_t num_items = shards[0]->num_items();
+  const int default_n = shards[0]->default_n();
+  return std::unique_ptr<ShardRouter>(
+      new ShardRouter(std::vector<std::unique_ptr<ShardBackend>>(
+                          std::make_move_iterator(shards.begin()),
+                          std::make_move_iterator(shards.end())),
+                      num_users, num_items, default_n));
+}
+
+Result<std::unique_ptr<ShardRouter>> ShardRouter::FromBackends(
+    std::vector<std::unique_ptr<ShardBackend>> backends, int32_t num_users,
+    int32_t num_items, int default_n) {
+  if (backends.empty()) {
+    return Status::InvalidArgument("router needs at least one shard");
+  }
+  for (size_t i = 0; i < backends.size(); ++i) {
+    if (backends[i] == nullptr) {
+      return Status::InvalidArgument("null shard at position " +
+                                     std::to_string(i));
+    }
+  }
+  return std::unique_ptr<ShardRouter>(new ShardRouter(
+      std::move(backends), num_users, num_items, default_n));
 }
 
 Status ShardRouter::Publish(const std::string& path, uint64_t* max_version) {
@@ -115,32 +144,20 @@ uint64_t ShardRouter::max_version() const {
   return max_v;
 }
 
-ServeStats ShardRouter::stats() const {
-  ServeStats total;
-  for (const auto& shard : shards_) total.Accumulate(shard->stats());
-  return total;
-}
-
-MetricsSnapshot ShardRouter::SnapshotMetrics() const {
+Result<MetricsSnapshot> ShardRouter::SnapshotMetrics() {
   MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-  std::vector<const MetricsRegistry*> seen{&MetricsRegistry::Global()};
+  std::vector<const MetricsRegistry*> merged{&MetricsRegistry::Global()};
   for (const auto& shard : shards_) {
-    const MetricsRegistry* registry = shard->metrics_registry();
-    if (std::find(seen.begin(), seen.end(), registry) != seen.end()) continue;
-    seen.push_back(registry);
-    snap.MergeFrom(registry->Snapshot());
+    GANC_RETURN_NOT_OK(shard->MergeMetricsInto(&snap, &merged));
   }
   return snap;
 }
 
-SwapCounters ShardRouter::swap_counters() const {
-  SwapCounters total;
+Status ShardRouter::AppendTraces(size_t count, std::string* payload) {
   for (const auto& shard : shards_) {
-    const SwapCounters c = shard->swap_counters();
-    total.published += c.published;
-    total.rejected += c.rejected;
+    GANC_RETURN_NOT_OK(shard->AppendTraces(count, payload));
   }
-  return total;
+  return Status::OK();
 }
 
 }  // namespace ganc

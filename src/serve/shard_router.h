@@ -1,6 +1,6 @@
-// ShardRouter: consistent-hash fan-out over N in-process ServiceShards.
+// ShardRouter: consistent-hash fan-out over N shard backends.
 //
-// The router owns the shards and routes every request by
+// The router owns its backends and routes every request by
 // ShardForUser(user) — the same persisted hash the shards gate on, so a
 // routed request always lands on its owner. Ids outside the train set's
 // user range (including negative ids) go to shard 0, the fallback
@@ -8,16 +8,17 @@
 // error; that keeps error responses byte-identical to an unsharded
 // server, which the parity suites diff on.
 //
+// A backend is a ServiceShard in this process or a ProcessShard that
+// forwards to a `ganc_serve --shard=k/N` child (serve/shard_backend.h);
+// every topology — one shard, N in-process shards, N child processes,
+// and the child's own single partition — is a router over backends.
+//
 // Publish fans out sequentially shard-by-shard. On a partial failure
 // the shards already swapped keep their new snapshot (snapshots are
 // bit-equal replicas of the same artifact, so a half-published router
 // still serves every response from exactly one valid snapshot — per-
 // response version attribution is what the swap tests check, not
 // cross-shard version agreement). The error names the failing shard.
-//
-// The multi-process analogue (children driven over the wire protocol)
-// lives in tools/ganc_serve.cc; this class is the in-process tier that
-// both single-binary serving and the replay harness use.
 
 #ifndef GANC_SERVE_SHARD_ROUTER_H_
 #define GANC_SERVE_SHARD_ROUTER_H_
@@ -30,6 +31,8 @@
 
 #include "data/dataset.h"
 #include "serve/service_shard.h"
+#include "serve/shard_backend.h"
+#include "util/metrics.h"
 #include "util/status.h"
 
 namespace ganc {
@@ -50,6 +53,13 @@ class ShardRouter {
   static Result<std::unique_ptr<ShardRouter>> FromShards(
       std::vector<std::unique_ptr<ServiceShard>> shards);
 
+  /// Routes over arbitrary backends, backend i owning hash bucket i.
+  /// The train-set dimensions and default list length come from the
+  /// caller: a backend in another process cannot report them.
+  static Result<std::unique_ptr<ShardRouter>> FromBackends(
+      std::vector<std::unique_ptr<ShardBackend>> backends, int32_t num_users,
+      int32_t num_items, int default_n);
+
   size_t num_shards() const { return shards_.size(); }
 
   /// The shard `user` routes to: its hash owner for in-range ids,
@@ -58,9 +68,6 @@ class ShardRouter {
     if (user < 0 || user >= num_users_) return 0;
     return ShardForUser(user, shards_.size());
   }
-
-  ServiceShard& shard(size_t i) { return *shards_[i]; }
-  const ServiceShard& shard(size_t i) const { return *shards_[i]; }
 
   /// Routes one request to its owning shard.
   Status TopNInto(UserId user, int n, std::span<const ItemId> exclusions,
@@ -86,26 +93,28 @@ class ShardRouter {
   std::vector<uint64_t> versions() const;
   uint64_t max_version() const;
 
-  /// Counters summed across shards (latency max is the shard max).
-  ServeStats stats() const;
-  SwapCounters swap_counters() const;
+  /// Exact merge of the process-global registry and every shard's
+  /// series (shards sharing one registry — e.g. all on the global
+  /// default — are merged once; a child process is scraped over
+  /// METRICSNAP), so nothing is ever double-counted.
+  Result<MetricsSnapshot> SnapshotMetrics();
 
-  /// Exact merge of the process-global registry and every distinct
-  /// shard registry (shards sharing one registry — e.g. all on the
-  /// global default — are merged once; dedupe is by registry pointer,
-  /// so nothing is ever double-counted).
-  MetricsSnapshot SnapshotMetrics() const;
+  /// Appends every shard's TRACE lines (see ShardBackend::AppendTraces).
+  Status AppendTraces(size_t count, std::string* payload);
 
-  int default_n() const { return shards_[0]->default_n(); }
+  int default_n() const { return default_n_; }
   int32_t num_users() const { return num_users_; }
-  int32_t num_items() const { return shards_[0]->num_items(); }
+  int32_t num_items() const { return num_items_; }
   std::string source() const { return shards_[0]->source(); }
 
  private:
-  explicit ShardRouter(std::vector<std::unique_ptr<ServiceShard>> shards);
+  ShardRouter(std::vector<std::unique_ptr<ShardBackend>> shards,
+              int32_t num_users, int32_t num_items, int default_n);
 
-  std::vector<std::unique_ptr<ServiceShard>> shards_;
+  std::vector<std::unique_ptr<ShardBackend>> shards_;
   int32_t num_users_ = 0;
+  int32_t num_items_ = 0;
+  int default_n_ = 0;
 };
 
 }  // namespace ganc

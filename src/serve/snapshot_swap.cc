@@ -87,7 +87,6 @@ void ArtifactWatcher::Stop() {
 
 bool ArtifactWatcher::CheckNow() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.polls;
   WatchMetrics().polls->Increment();
   const Signature sig = Stat(path_);
   const Signature prev = last_seen_;
@@ -99,19 +98,12 @@ bool ArtifactWatcher::CheckNow() {
   const Status status = publish_(path_);
   if (status.ok()) {
     published_ = sig;
-    ++counters_.publishes;
     WatchMetrics().publishes->Increment();
     return true;
   }
   failed_ = sig;
-  ++counters_.failures;
   WatchMetrics().failures->Increment();
   return false;
-}
-
-ArtifactWatcher::Counters ArtifactWatcher::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
 }
 
 }  // namespace ganc

@@ -38,13 +38,6 @@ class ArtifactWatcher {
   /// Called with the watched path when a stable new signature appears.
   using PublishFn = std::function<Status(const std::string&)>;
 
-  /// Monotonic counters, snapshot via counters().
-  struct Counters {
-    uint64_t polls = 0;      ///< CheckNow invocations
-    uint64_t publishes = 0;  ///< successful publishes
-    uint64_t failures = 0;   ///< rejected publishes
-  };
-
   /// Watches `path`, calling `publish` on stable changes. Captures the
   /// current signature as the already-serving baseline. Start() begins
   /// polling every `poll_interval_ms`; without it the watcher is a
@@ -65,7 +58,6 @@ class ArtifactWatcher {
   /// tests share it).
   bool CheckNow();
 
-  Counters counters() const;
   const std::string& path() const { return path_; }
 
  private:
@@ -86,11 +78,10 @@ class ArtifactWatcher {
   const PublishFn publish_;
   const int poll_interval_ms_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   Signature published_;  ///< signature of the artifact serving now
   Signature last_seen_;  ///< previous poll's signature (stability gate)
   Signature failed_;     ///< last signature whose publish was rejected
-  Counters counters_;
 
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;

@@ -58,7 +58,8 @@ std::string FormatTraceLine(const RequestTrace& trace) {
     if (trace.stage_ns[i] < 0) continue;
     out += " ";
     out += TraceStageName(static_cast<TraceStage>(i));
-    out += "=" + std::to_string(trace.stage_ns[i]);
+    out.push_back('=');
+    out += std::to_string(trace.stage_ns[i]);
   }
   return out;
 }

@@ -2,16 +2,22 @@
 // router (three forked --shard=k/N children driven over pipes) must be
 // byte-identical to a single-process server for every user, for error
 // responses, and across a live PUBLISH that swaps all three children.
-// The binaries arrive via compile definitions; without them the suite
-// skips itself.
+// The committed frontend transcript must also read the same through
+// every topology and through `ganc_cli replay`, and every topology
+// must count each client line once. The binaries arrive via compile
+// definitions; without them the suite skips itself.
 
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -22,7 +28,11 @@ namespace {
 
 #if defined(GANC_SERVE_BINARY) && defined(GANC_CLI_BINARY)
 
-int RunToCompletion(const std::vector<std::string>& argv) {
+// Runs `argv` to completion, with stdin and stdout redirected to the
+// given files when they are non-empty.
+int RunToCompletion(const std::vector<std::string>& argv,
+                    const std::string& stdin_path = "",
+                    const std::string& stdout_path = "") {
   std::vector<char*> args;
   for (const std::string& a : argv) {
     args.push_back(const_cast<char*>(a.c_str()));
@@ -30,12 +40,27 @@ int RunToCompletion(const std::vector<std::string>& argv) {
   args.push_back(nullptr);
   const pid_t pid = fork();
   if (pid == 0) {
+    if (!stdin_path.empty()) {
+      const int fd = open(stdin_path.c_str(), O_RDONLY);
+      if (fd < 0 || dup2(fd, STDIN_FILENO) < 0) _exit(126);
+    }
+    if (!stdout_path.empty()) {
+      const int fd =
+          open(stdout_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+      if (fd < 0 || dup2(fd, STDOUT_FILENO) < 0) _exit(126);
+    }
     execv(args[0], args.data());
     _exit(127);
   }
   int status = 0;
   waitpid(pid, &status, 0);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 // A ganc_serve child wired to the test through stdin/stdout pipes.
@@ -190,8 +215,9 @@ TEST_F(RouterProcessParityTest, ThreeProcessShardsMatchSingleProcess) {
   router.Send("TOPN user=999999 n=5");
   EXPECT_EQ(router.ReadLine(), single.ReadLine()) << "error parity";
 
-  // Session state lives in the router, not the children: consume then
-  // re-request and diff against the single process doing the same.
+  // Session state lives in the router's frontend, not the children:
+  // consume then re-request and diff against the single process doing
+  // the same.
   single.Send("CONSUME session=s user=1 items=0,1");
   router.Send("CONSUME session=s user=1 items=0,1");
   EXPECT_EQ(router.ReadLine(), single.ReadLine());
@@ -248,6 +274,89 @@ TEST_F(RouterProcessParityTest, LivePublishSwapsAllChildren) {
   EXPECT_EQ(reference_b.CloseAndWait(), 0);
   // Clean EOF shutdown reaps every child; a leak would hang this wait.
   EXPECT_EQ(router.CloseAndWait(), 0);
+}
+
+TEST_F(RouterProcessParityTest, FrontendTranscriptMatchesInEveryTopology) {
+  // TOPN with exclude= and n=0; CONSUME of served items, of an
+  // out-of-range item and for an out-of-range user; a session TOPN; an
+  // unknown verb; STATS. Unbatched and uncached, so STATS is exact.
+  const std::string requests =
+      std::string(GANC_TESTDATA_DIR) + "/serve/frontend_requests.txt";
+  std::vector<std::string> serve = {GANC_SERVE_BINARY};
+  for (const std::string& flag : BaseFlags(*model_a_)) serve.push_back(flag);
+  serve.push_back("--unbatched");
+  serve.push_back("--cache-capacity=0");
+  std::vector<std::string> sharded = serve;
+  sharded.push_back("--shards=3");
+  std::vector<std::string> multi = sharded;
+  multi.push_back("--multiprocess");
+  const std::vector<std::string> replay = {
+      GANC_CLI_BINARY,  "replay",     "--dataset-cache=" + *cache_,
+      "--seed=7",       "--top-n=5",  "--load-model=" + *model_a_,
+      "--requests=" + requests};
+
+  const std::map<std::string, std::vector<std::string>> runs = {
+      {"single", serve},
+      {"shards3", sharded},
+      {"multiprocess", multi},
+      {"replay", replay}};
+  std::map<std::string, std::string> outputs;
+  for (const auto& [name, argv] : runs) {
+    const std::string out = *dir_ + "/frontend_" + name + ".txt";
+    ASSERT_EQ(RunToCompletion(argv, requests, out), 0) << name;
+    outputs[name] = ReadFile(out);
+  }
+  const std::string& expected = outputs["single"];
+  const std::string lines = ReadFile(requests);
+  EXPECT_EQ(std::count(expected.begin(), expected.end(), '\n'),
+            std::count(lines.begin(), lines.end(), '\n'));
+  EXPECT_NE(expected.find("\nOK requests=3 "), std::string::npos)
+      << expected;
+  for (const auto& [name, output] : outputs) {
+    EXPECT_EQ(output, expected) << name;
+  }
+}
+
+// Sends three TOPN lines and a METRICS scrape; returns the exposition's
+// frontend line series.
+std::map<std::string, std::string> FrontendSeries(ServeProcess& serve) {
+  for (int user = 1; user <= 3; ++user) {
+    serve.Send("TOPN user=" + std::to_string(user));
+    EXPECT_EQ(serve.ReadLine().rfind("OK user=", 0), 0u);
+  }
+  serve.Send("METRICS");
+  const std::string header = serve.ReadLine();
+  EXPECT_EQ(header.rfind("OK metrics lines=", 0), 0u) << header;
+  const int lines = std::atoi(header.c_str() + std::strlen("OK metrics lines="));
+  std::map<std::string, std::string> series;
+  for (int i = 0; i < lines; ++i) {
+    const std::string line = serve.ReadLine();
+    const size_t space = line.find(' ');
+    const std::string name = line.substr(0, space);
+    if (name == "serve_lines_total" || name == "serve_parse_errors_total" ||
+        name == "serve_line_ns_count") {
+      series[name] = line.substr(space + 1);
+    }
+  }
+  return series;
+}
+
+TEST_F(RouterProcessParityTest, FrontendCountsEachLineOnceInEveryTopology) {
+  // The METRICS line itself is counted before the scrape renders, but
+  // its latency is observed only after.
+  const std::map<std::string, std::string> expected = {
+      {"serve_lines_total", "4"},
+      {"serve_parse_errors_total", "0"},
+      {"serve_line_ns_count", "3"}};
+  std::vector<std::string> sharded = BaseFlags(*model_a_);
+  sharded.push_back("--shards=3");
+  std::vector<std::string> multi = sharded;
+  multi.push_back("--multiprocess");
+  for (const auto& flags : {BaseFlags(*model_a_), sharded, multi}) {
+    ServeProcess serve(flags);
+    EXPECT_EQ(FrontendSeries(serve), expected) << flags.back();
+    EXPECT_EQ(serve.CloseAndWait(), 0);
+  }
 }
 
 #else

@@ -24,6 +24,7 @@
 #include "serve/recommendation_service.h"
 #include "serve/shard_router.h"
 #include "serve/service_shard.h"
+#include "util/metrics.h"
 
 namespace ganc {
 namespace {
@@ -82,8 +83,10 @@ TEST(SwapParityTest, LivePublishUnderConcurrentLoadIsDeterministic) {
   // attribution would be vacuous.
   ASSERT_NE(ref_a, ref_b);
 
+  ServiceConfig config;
+  config.metrics = std::make_shared<MetricsRegistry>();
   auto router_or = ShardRouter::Load(SnapshotKind::kModel, path_a, train,
-                                     3, {});
+                                     3, config);
   ASSERT_TRUE(router_or.ok()) << router_or.status().ToString();
   ShardRouter& router = **router_or;
 
@@ -176,8 +179,9 @@ TEST(SwapParityTest, LivePublishUnderConcurrentLoadIsDeterministic) {
   // The load genuinely spanned the swap.
   EXPECT_GT(served_old, 0u);
   EXPECT_GT(served_new, 0u);
-  EXPECT_EQ(router.swap_counters().published, 3u);
-  EXPECT_EQ(router.swap_counters().rejected, 0u);
+  const MetricsSnapshot swaps = config.metrics->Snapshot();
+  EXPECT_EQ(swaps.CounterValue("serve_publishes_total"), 3u);
+  EXPECT_EQ(swaps.CounterValue("serve_publish_rejects_total"), 0u);
 }
 
 TEST(SwapParityTest, MismatchedArtifactIsRejectedAndOldSnapshotKeepsServing) {
@@ -195,8 +199,10 @@ TEST(SwapParityTest, MismatchedArtifactIsRejectedAndOldSnapshotKeepsServing) {
   const std::string path_bad =
       SaveModel(*other, "swap_keep_mismatch.gam", 8);
 
+  ServiceConfig config;
+  config.metrics = std::make_shared<MetricsRegistry>();
   auto router_or = ShardRouter::Load(SnapshotKind::kModel, path_a, train,
-                                     3, {});
+                                     3, config);
   ASSERT_TRUE(router_or.ok());
   ShardRouter& router = **router_or;
   const std::vector<uint64_t> before = router.versions();
@@ -206,8 +212,9 @@ TEST(SwapParityTest, MismatchedArtifactIsRejectedAndOldSnapshotKeepsServing) {
 
   // Old snapshot untouched: same versions, same bits.
   EXPECT_EQ(router.versions(), before);
-  EXPECT_GE(router.swap_counters().rejected, 2u);
-  EXPECT_EQ(router.swap_counters().published, 0u);
+  const MetricsSnapshot swaps = config.metrics->Snapshot();
+  EXPECT_GE(swaps.CounterValue("serve_publish_rejects_total"), 2u);
+  EXPECT_EQ(swaps.CounterValue("serve_publishes_total"), 0u);
   std::vector<ItemId> out;
   for (UserId u = 0; u < train.num_users(); ++u) {
     ASSERT_TRUE(router.TopNInto(u, kN, {}, &out, nullptr).ok());

@@ -6,13 +6,27 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "serve/serve_metrics.h"
+#include "util/metrics.h"
+
 namespace ganc {
 namespace {
+
+// A private registry the batcher counts into, read back by series name.
+struct BatchMetrics {
+  MetricsRegistry registry;
+  ServeInstruments instruments = ServeInstruments::Resolve(registry);
+
+  uint64_t Count(const std::string& name) const {
+    return registry.Snapshot().CounterValue(name);
+  }
+};
 
 // A batch function that "scores" by echoing user * 10 + n and records
 // the block sizes it saw.
@@ -33,7 +47,10 @@ struct EchoBatchFn {
 };
 
 TEST(MicroBatcherTest, SingleRequestRoundTrip) {
-  MicroBatcher batcher(EchoBatchFn{}, {});
+  BatchMetrics metrics;
+  MicroBatcherConfig config;
+  config.metrics = &metrics.instruments;
+  MicroBatcher batcher(EchoBatchFn{}, config);
   BatchRequest req;
   req.user = 7;
   req.n = 3;
@@ -42,8 +59,8 @@ TEST(MicroBatcherTest, SingleRequestRoundTrip) {
   ASSERT_TRUE(batcher.Submit(req).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 73);
-  EXPECT_EQ(batcher.counters().requests, 1u);
-  EXPECT_EQ(batcher.counters().batches, 1u);
+  EXPECT_EQ(metrics.Count("serve_batched_requests_total"), 1u);
+  EXPECT_EQ(metrics.Count("serve_batches_total"), 1u);
 }
 
 TEST(MicroBatcherTest, LoneRequestIsNotStalledByTheFlushTimer) {
@@ -52,6 +69,8 @@ TEST(MicroBatcherTest, LoneRequestIsNotStalledByTheFlushTimer) {
   // A pathological timer: if a lone request waited for the flush
   // deadline the test would take half a second per request.
   config.max_batch_wait = std::chrono::microseconds(500000);
+  BatchMetrics metrics;
+  config.metrics = &metrics.instruments;
   MicroBatcher batcher(EchoBatchFn{}, config);
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 10; ++i) {
@@ -66,7 +85,7 @@ TEST(MicroBatcherTest, LoneRequestIsNotStalledByTheFlushTimer) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             500);
-  EXPECT_EQ(batcher.counters().waited_flushes, 0u);
+  EXPECT_EQ(metrics.Count("serve_waited_flushes_total"), 0u);
 }
 
 TEST(MicroBatcherTest, ConcurrentCallersFormBatchesAndGetOwnResults) {
@@ -75,6 +94,8 @@ TEST(MicroBatcherTest, ConcurrentCallersFormBatchesAndGetOwnResults) {
   MicroBatcherConfig config;
   config.num_workers = 2;
   config.batch_size = 8;
+  BatchMetrics metrics;
+  config.metrics = &metrics.instruments;
   MicroBatcher batcher(EchoBatchFn{&batch_sizes, &mu}, config);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
@@ -97,10 +118,10 @@ TEST(MicroBatcherTest, ConcurrentCallersFormBatchesAndGetOwnResults) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const MicroBatcher::Counters c = batcher.counters();
-  EXPECT_EQ(c.requests, static_cast<uint64_t>(kThreads * kPerThread));
+  const uint64_t requests = metrics.Count("serve_batched_requests_total");
+  EXPECT_EQ(requests, static_cast<uint64_t>(kThreads * kPerThread));
   // Batching must actually happen: fewer dispatches than requests.
-  EXPECT_LT(c.batches, c.requests);
+  EXPECT_LT(metrics.Count("serve_batches_total"), requests);
   size_t max_fill = 0;
   {
     std::lock_guard<std::mutex> lock(mu);

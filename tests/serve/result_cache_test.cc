@@ -80,7 +80,6 @@ TEST(ServeResultCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Lookup(Key(3), &out));
   EXPECT_TRUE(cache.Lookup(Key(4), &out));
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.counters().evictions, 1u);
 }
 
 TEST(ServeResultCacheTest, ReinsertRefreshesValueWithoutGrowth) {
@@ -121,8 +120,6 @@ TEST(ServeResultCacheTest, ConcurrentMixedTrafficStaysConsistent) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_LE(cache.size(), 128u);
-  const ServeResultCache::Counters c = cache.counters();
-  EXPECT_EQ(c.hits + c.misses, 4u * 2000u);
 }
 
 }  // namespace

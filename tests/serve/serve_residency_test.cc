@@ -64,6 +64,7 @@ TEST(ServeResidencyTest, StoreBackedServingNeverMaterializesMappedDataset) {
   config.micro_batching = false;
   config.cache_capacity = 0;  // exercise the store path, not the LRU
   config.mmap_artifacts = true;
+  config.metrics = std::make_shared<MetricsRegistry>();
   auto service =
       RecommendationService::LoadModelService(model_path, *train, config);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -82,8 +83,8 @@ TEST(ServeResidencyTest, StoreBackedServingNeverMaterializesMappedDataset) {
     ASSERT_TRUE((*service)->TopNInto(u, 5, {}, &out).ok()) << "user " << u;
     EXPECT_FALSE(out.empty()) << "user " << u;
   }
-  const ServeStats hit_stats = (*service)->stats();
-  EXPECT_EQ(hit_stats.store_hits, head.size());
+  EXPECT_EQ(config.metrics->Snapshot().CounterValue("serve_store_hits_total"),
+            head.size());
   EXPECT_FALSE(train->ResidencyMaterialized())
       << "store-backed serving materialized the mapped rating matrix";
 

@@ -33,6 +33,7 @@
 #include "recommender/rsvd.h"
 #include "recommender/user_knn.h"
 #include "serve/session_overlay.h"
+#include "util/metrics.h"
 
 namespace ganc {
 namespace {
@@ -226,9 +227,13 @@ TEST(ServiceParityTest, StoreServesSameBytesAsLiveScoring) {
   ASSERT_TRUE(model.Fit(train).ok());
   ServiceConfig config;
   config.cache_capacity = 0;  // isolate the store path
+  config.metrics = std::make_shared<MetricsRegistry>();
   Result<std::unique_ptr<RecommendationService>> service =
       RecommendationService::Create(model, train, config);
   ASSERT_TRUE(service.ok());
+  const auto store_hits = [&config] {
+    return config.metrics->Snapshot().CounterValue("serve_store_hits_total");
+  };
 
   const std::vector<UserId> head = HeadUsersByActivity(train, 10);
   Result<TopNStore> store = (*service)->BuildStore(head, 5);
@@ -247,7 +252,7 @@ TEST(ServiceParityTest, StoreServesSameBytesAsLiveScoring) {
           ->AttachStore(
               std::make_shared<const TopNStore>(std::move(store).value()))
           .ok());
-  const uint64_t store_hits_before = (*service)->stats().store_hits;
+  const uint64_t store_hits_before = store_hits();
   for (UserId u = 0; u < train.num_users(); ++u) {
     auto r = (*service)->TopN(u, 5);
     ASSERT_TRUE(r.ok());
@@ -267,7 +272,7 @@ TEST(ServiceParityTest, StoreServesSameBytesAsLiveScoring) {
     ASSERT_TRUE((*service)->TopN(u, 5, excl).ok());
     ASSERT_TRUE((*service)->TopN(u, 9).ok());
   }
-  EXPECT_GT((*service)->stats().store_hits, store_hits_before);
+  EXPECT_GT(store_hits(), store_hits_before);
 }
 
 TEST(ServiceParityTest, AttachStoreRejectsMismatchedSnapshots) {
@@ -304,6 +309,7 @@ TEST(ServiceParityTest, CacheHitsServeIdenticalListsAndCountersAdvance) {
   ASSERT_TRUE(model.Fit(train).ok());
   ServiceConfig config;
   config.cache_capacity = 256;
+  config.metrics = std::make_shared<MetricsRegistry>();
   Result<std::unique_ptr<RecommendationService>> service =
       RecommendationService::Create(model, train, config);
   ASSERT_TRUE(service.ok());
@@ -312,11 +318,14 @@ TEST(ServiceParityTest, CacheHitsServeIdenticalListsAndCountersAdvance) {
   auto second = (*service)->TopN(5, 5);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*first, *second);
-  const ServeStats stats = (*service)->stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.live_scored, 1u);
-  EXPECT_GT(stats.latency_us_max, 0u);
+  const MetricsSnapshot snap = config.metrics->Snapshot();
+  EXPECT_EQ(snap.CounterValue("serve_requests_total"), 2u);
+  EXPECT_EQ(snap.CounterValue("serve_cache_hits_total"), 1u);
+  EXPECT_EQ(snap.CounterValue("serve_live_scored_total"), 1u);
+  const MetricValue* latency = snap.Find("serve_request_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->u64, 2u);
+  EXPECT_GT(latency->sum, 0u);
 }
 
 TEST(ServiceParityTest, RejectsInvalidRequests) {

@@ -18,6 +18,7 @@
 #include "recommender/psvd.h"
 #include "serve/recommendation_service.h"
 #include "serve/service_shard.h"
+#include "util/metrics.h"
 
 namespace ganc {
 namespace {
@@ -187,7 +188,9 @@ TEST(ShardRouterTest, PerShardStoreSegmentsServeOwnedUsersOnly) {
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   auto store = std::make_shared<const TopNStore>(std::move(full).value());
 
-  auto router = BuildRouter(train, path, 3);
+  ServiceConfig config;
+  config.metrics = std::make_shared<MetricsRegistry>();
+  auto router = BuildRouter(train, path, 3, config);
   ASSERT_TRUE(router.ok());
   ASSERT_TRUE((*router)->AttachStore(store).ok());
   // Store-served lists must still match the live reference.
@@ -198,7 +201,8 @@ TEST(ShardRouterTest, PerShardStoreSegmentsServeOwnedUsersOnly) {
     EXPECT_EQ(got, expected) << "user " << u;
   }
   // And the segments actually served from the store.
-  EXPECT_GT((*router)->stats().store_hits, 0u);
+  EXPECT_GT(config.metrics->Snapshot().CounterValue("serve_store_hits_total"),
+            0u);
 }
 
 TEST(ShardRouterTest, FromShardsValidatesThePartition) {
@@ -225,14 +229,17 @@ TEST(ShardRouterTest, FromShardsValidatesThePartition) {
 TEST(ShardRouterTest, StatsSumAcrossShards) {
   const RatingDataset train = MakeTrain();
   const std::string path = SaveModel(train, "router_stats.gam", 8);
-  auto router = BuildRouter(train, path, 3);
+  ServiceConfig config;
+  config.metrics = std::make_shared<MetricsRegistry>();
+  auto router = BuildRouter(train, path, 3, config);
   ASSERT_TRUE(router.ok());
   std::vector<ItemId> out;
   for (UserId u = 0; u < train.num_users(); ++u) {
     ASSERT_TRUE((*router)->TopNInto(u, 5, {}, &out, nullptr).ok());
   }
-  const ServeStats stats = (*router)->stats();
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(train.num_users()));
+  // Every shard counts into the one configured registry.
+  EXPECT_EQ(config.metrics->Snapshot().CounterValue("serve_requests_total"),
+            static_cast<uint64_t>(train.num_users()));
 }
 
 }  // namespace

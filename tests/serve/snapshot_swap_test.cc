@@ -12,8 +12,30 @@
 
 #include <gtest/gtest.h>
 
+#include "util/metrics.h"
+
 namespace ganc {
 namespace {
+
+// Watcher events land in the process-global registry. Tests run one
+// after another, so a counter's growth since the test began is exactly
+// what that test's watcher did.
+class WatchCounts {
+ public:
+  WatchCounts() : start_(Read()) {}
+
+  uint64_t polls() const { return Delta("serve_watch_polls_total"); }
+  uint64_t publishes() const { return Delta("serve_watch_publishes_total"); }
+  uint64_t failures() const { return Delta("serve_watch_failures_total"); }
+
+ private:
+  static MetricsSnapshot Read() { return MetricsRegistry::Global().Snapshot(); }
+  uint64_t Delta(const std::string& name) const {
+    return Read().CounterValue(name) - start_.CounterValue(name);
+  }
+
+  MetricsSnapshot start_;
+};
 
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
@@ -37,19 +59,21 @@ TEST(ArtifactWatcherTest, BaselineArtifactIsNotRepublished) {
   const std::string path = testing::TempDir() + "/watch_baseline.gam";
   WriteFile(path, "artifact-v1");
   PublishLog log;
+  WatchCounts counts;
   ArtifactWatcher watcher(path, log.Fn(), 1000);
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(watcher.CheckNow());
   }
   EXPECT_EQ(log.calls, 0);
-  EXPECT_EQ(watcher.counters().polls, 5u);
-  EXPECT_EQ(watcher.counters().publishes, 0u);
+  EXPECT_EQ(counts.polls(), 5u);
+  EXPECT_EQ(counts.publishes(), 0u);
 }
 
 TEST(ArtifactWatcherTest, StableChangePublishesExactlyOnce) {
   const std::string path = testing::TempDir() + "/watch_stable.gam";
   WriteFile(path, "artifact-v1");
   PublishLog log;
+  WatchCounts counts;
   ArtifactWatcher watcher(path, log.Fn(), 1000);
   WriteFile(path, "artifact-v2-different-size");
   // First observation of the new signature only arms the stability
@@ -62,8 +86,8 @@ TEST(ArtifactWatcherTest, StableChangePublishesExactlyOnce) {
   // Published state is the new baseline: no re-publish churn.
   EXPECT_FALSE(watcher.CheckNow());
   EXPECT_EQ(log.calls, 1);
-  EXPECT_EQ(watcher.counters().publishes, 1u);
-  EXPECT_EQ(watcher.counters().failures, 0u);
+  EXPECT_EQ(counts.publishes(), 1u);
+  EXPECT_EQ(counts.failures(), 0u);
 }
 
 TEST(ArtifactWatcherTest, TornWritesNeverPublishMidCopy) {
@@ -89,6 +113,7 @@ TEST(ArtifactWatcherTest, FailedPublishIsNotRetriedUntilTheFileChanges) {
   const std::string path = testing::TempDir() + "/watch_failed.gam";
   WriteFile(path, "artifact-v1");
   PublishLog log;
+  WatchCounts counts;
   ArtifactWatcher watcher(path, log.Fn(), 1000);
   WriteFile(path, "artifact-bad-fingerprint");
   log.next = Status::InvalidArgument("fingerprint mismatch");
@@ -100,14 +125,14 @@ TEST(ArtifactWatcherTest, FailedPublishIsNotRetriedUntilTheFileChanges) {
     EXPECT_FALSE(watcher.CheckNow());
   }
   EXPECT_EQ(log.calls, 1);
-  EXPECT_EQ(watcher.counters().failures, 1u);
+  EXPECT_EQ(counts.failures(), 1u);
   // A genuinely new artifact at the same path is tried again.
   WriteFile(path, "artifact-v3-fixed-and-longer");
   log.next = Status::OK();
   EXPECT_FALSE(watcher.CheckNow());  // settle
   EXPECT_TRUE(watcher.CheckNow());
   EXPECT_EQ(log.calls, 2);
-  EXPECT_EQ(watcher.counters().publishes, 1u);
+  EXPECT_EQ(counts.publishes(), 1u);
 }
 
 TEST(ArtifactWatcherTest, MissingFileIsQuietUntilItAppears) {
@@ -129,21 +154,22 @@ TEST(ArtifactWatcherTest, BackgroundThreadPublishesAndStopsCleanly) {
   const std::string path = testing::TempDir() + "/watch_thread.gam";
   WriteFile(path, "artifact-v1");
   PublishLog log;
+  WatchCounts counts;
   ArtifactWatcher watcher(path, log.Fn(), 5);
   watcher.Start();
   watcher.Start();  // idempotent
   WriteFile(path, "artifact-v2-for-the-thread");
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (watcher.counters().publishes == 0 &&
+  while (counts.publishes() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_EQ(watcher.counters().publishes, 1u);
+  EXPECT_EQ(counts.publishes(), 1u);
   watcher.Stop();
-  const uint64_t polls_at_stop = watcher.counters().polls;
+  const uint64_t polls_at_stop = counts.polls();
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(watcher.counters().polls, polls_at_stop);
+  EXPECT_EQ(counts.polls(), polls_at_stop);
   watcher.Stop();  // idempotent
 }
 

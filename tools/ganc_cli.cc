@@ -60,10 +60,10 @@
 #include "recommender/random_walk.h"
 #include "recommender/rsvd.h"
 #include "recommender/user_knn.h"
+#include "serve/frontend.h"
 #include "serve/protocol.h"
 #include "serve/recommendation_service.h"
 #include "serve/service_shard.h"
-#include "serve/session_overlay.h"
 #include "serve/shard_router.h"
 #include "serve/topn_store.h"
 #include "util/binary_io.h"
@@ -74,7 +74,6 @@
 #include "util/thread_pool.h"
 #include "util/logging.h"
 #include "util/timer.h"
-#include "util/trace.h"
 
 using namespace ganc;
 
@@ -791,10 +790,12 @@ void ReportReplayMetrics(const MetricsSnapshot& snap) {
 }
 
 // `replay`: drive a serve-protocol transcript through an in-process
-// ShardRouter and print one response line per request. Unbatched and
-// single-threaded, so the output is deterministic line-for-line — the
-// reference the multi-process router harness diffs against, and a way
-// to script snapshot swaps (PUBLISH lines) without managing processes.
+// ShardRouter and print one response line per request. The lines go
+// through the same dispatcher ganc_serve uses (serve/frontend.h);
+// unbatched and single-threaded, so the output is deterministic
+// line-for-line — the reference the multi-process router harness diffs
+// against, and a way to script snapshot swaps (PUBLISH lines) without
+// managing processes.
 int Replay(const Flags& flags) {
   const std::string requests_path = flags.GetString("requests", "");
   if (requests_path.empty()) {
@@ -845,151 +846,22 @@ int Replay(const Flags& flags) {
     std::fprintf(stderr, "replay: cannot open %s\n", requests_path.c_str());
     return 1;
   }
-  SessionRegistry sessions;
-  TraceRing& ring = TraceRing::Global();
-  uint64_t seq = 0;
+  ServeFrontend frontend(**router);
   std::string line;
-  while (std::getline(in, line)) {
+  bool quit = false;
+  while (!quit && std::getline(in, line)) {
     while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
       line.pop_back();
     }
     if (line.empty()) continue;
-    std::unique_ptr<RequestTrace> trace;
-    if (ring.ShouldSample(seq)) trace = ring.Begin(seq);
-    ++seq;
-    Result<ServeRequest> parsed = ParseServeRequest(line);
-    if (trace != nullptr) trace->Stamp(TraceStage::kParse, MonotonicNowNs());
-    if (!parsed.ok()) {
-      std::printf("%s\n", FormatError(parsed.status().message()).c_str());
-      continue;
-    }
-    ServeRequest& req = *parsed;
-    std::string response;
-    switch (req.command) {
-      case ServeCommand::kTopN:
-      case ServeCommand::kTopNV: {
-        std::vector<ItemId> exclusions;
-        std::span<const ItemId> excl = req.items;
-        if (!req.session.empty()) {
-          sessions.CollectExclusions(req.session, req.user, req.items,
-                                     &exclusions);
-          excl = exclusions;
-        }
-        std::vector<ItemId> items;
-        uint64_t version = 0;
-        if (Status s = (*router)->TopNInto(req.user, req.n, excl, &items,
-                                           &version, trace.get());
-            !s.ok()) {
-          response = FormatError(s.message());
-          break;
-        }
-        const int n = req.n == 0 ? (*router)->default_n() : req.n;
-        response = req.command == ServeCommand::kTopNV
-                       ? FormatVersionedTopNResponse(req.user, n, version,
-                                                     items)
-                       : FormatTopNResponse(req.user, n, items);
-        break;
-      }
-      case ServeCommand::kConsume: {
-        if (req.user < 0 || req.user >= (*router)->num_users()) {
-          response = FormatError("user id out of range");
-          break;
-        }
-        sessions.MarkConsumed(req.session, req.user, req.items);
-        response = FormatOk("consumed=" + std::to_string(req.items.size()));
-        break;
-      }
-      case ServeCommand::kPublish: {
-        uint64_t max_v = 0;
-        if (Status s = (*router)->Publish(req.path, &max_v); !s.ok()) {
-          response = FormatError(s.message());
-          break;
-        }
-        response = (*router)->num_shards() > 1
-                       ? FormatOk("version=" + std::to_string(max_v) +
-                                  " shards=" +
-                                  std::to_string((*router)->num_shards()))
-                       : FormatOk("version=" + std::to_string(max_v) +
-                                  " source=" + (*router)->source());
-        break;
-      }
-      case ServeCommand::kVersion: {
-        if ((*router)->num_shards() > 1) {
-          std::string versions;
-          for (const uint64_t v : (*router)->versions()) {
-            if (!versions.empty()) versions.push_back(',');
-            versions += std::to_string(v);
-          }
-          response = FormatOk("versions=" + versions);
-        } else {
-          response =
-              FormatOk("version=" + std::to_string((*router)->max_version()) +
-                       " source=" + (*router)->source());
-        }
-        break;
-      }
-      case ServeCommand::kShards:
-        response =
-            FormatOk("shards=" + std::to_string((*router)->num_shards()) +
-                     " mode=inprocess users=" +
-                     std::to_string((*router)->num_users()));
-        break;
-      case ServeCommand::kStats: {
-        const ServeStats s = (*router)->stats();
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "requests=%llu cache_hits=%llu store_hits=%llu "
-                      "live=%llu batches=%llu mean_fill=%.2f",
-                      static_cast<unsigned long long>(s.requests),
-                      static_cast<unsigned long long>(s.cache_hits),
-                      static_cast<unsigned long long>(s.store_hits),
-                      static_cast<unsigned long long>(s.live_scored),
-                      static_cast<unsigned long long>(s.batches),
-                      s.MeanBatchFill());
-        response = FormatOk(buf);
-        break;
-      }
-      case ServeCommand::kMetrics: {
-        const std::string text =
-            (*router)->SnapshotMetrics().RenderExposition();
-        size_t lines = 0;
-        for (const char c : text) lines += c == '\n';
-        response = FormatFramedHeader("metrics", lines);
-        if (!text.empty()) {
-          response.push_back('\n');
-          response.append(text.data(), text.size() - 1);
-        }
-        break;
-      }
-      case ServeCommand::kMetricSnap:
-        response =
-            FormatOk("metricsnap " + (*router)->SnapshotMetrics().Serialize());
-        break;
-      case ServeCommand::kTrace: {
-        const std::vector<RequestTrace> traces =
-            ring.MostRecent(static_cast<size_t>(req.n == 0 ? 16 : req.n));
-        response = FormatFramedHeader("traces", traces.size());
-        for (const RequestTrace& t : traces) {
-          response.push_back('\n');
-          response += FormatTraceLine(t);
-        }
-        break;
-      }
-      case ServeCommand::kPing:
-        response = FormatOk("pong");
-        break;
-      case ServeCommand::kQuit:
-        response = FormatOk("bye");
-        break;
-    }
-    if (trace != nullptr) {
-      trace->Stamp(TraceStage::kRespond, MonotonicNowNs());
-      ring.Commit(std::move(trace));
-    }
-    std::printf("%s\n", response.c_str());
-    if (req.command == ServeCommand::kQuit) break;
+    std::printf("%s\n", frontend.HandleLine(line, &quit).c_str());
   }
-  ReportReplayMetrics((*router)->SnapshotMetrics());
+  Result<MetricsSnapshot> snap = (*router)->SnapshotMetrics();
+  if (!snap.ok()) {
+    std::fprintf(stderr, "metrics: %s\n", snap.status().ToString().c_str());
+    return 1;
+  }
+  ReportReplayMetrics(*snap);
   return 0;
 }
 
