@@ -29,9 +29,17 @@ double StatCoverage::Score(UserId /*u*/, ItemId i) const {
   return score_[static_cast<size_t>(i)];
 }
 
+DynScoreTable::DynScoreTable() {
+  for (uint32_t f = 0; f < kSize; ++f) table_[f] = Formula(f);
+}
+
+const DynScoreTable& DynScoreTable::Get() {
+  static const DynScoreTable table;
+  return table;
+}
+
 double DynCoverage::Score(UserId /*u*/, ItemId i) const {
-  return 1.0 /
-         std::sqrt(static_cast<double>(counts_[static_cast<size_t>(i)]) + 1.0);
+  return DynScoreTable::Get().Score(counts_[static_cast<size_t>(i)]);
 }
 
 std::string CoverageKindName(CoverageKind kind) {

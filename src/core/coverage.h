@@ -12,6 +12,7 @@
 #ifndef GANC_CORE_COVERAGE_H_
 #define GANC_CORE_COVERAGE_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -36,6 +37,12 @@ class CoverageModel {
 
   /// True when Observe changes future scores (couples users' optima).
   virtual bool IsDynamic() const { return false; }
+
+  /// The running counts f^A when c(u, i) = DynScoreTable::Score(f^A_i)
+  /// (Dyn and its snapshot view), empty otherwise. The greedy asks once
+  /// per user and then scores every candidate inline, without a virtual
+  /// call per candidate.
+  virtual std::span<const uint32_t> DynCounts() const { return {}; }
 
   virtual std::string name() const = 0;
 };
@@ -66,6 +73,32 @@ class StatCoverage : public CoverageModel {
   std::vector<double> score_;  // 1 / sqrt(f_i^R + 1)
 };
 
+/// Dyn's coverage gain 1 / sqrt(f + 1) at running count f. Counts below
+/// kSize read a table filled with that same expression, so a count maps
+/// to the same bits through the table or the expression. Larger counts,
+/// an item recommended to more than kSize users in one sequential pass,
+/// evaluate it.
+class DynScoreTable {
+ public:
+  static constexpr uint32_t kSize = 1024;
+
+  static double Formula(uint32_t f) {
+    return 1.0 / std::sqrt(static_cast<double>(f) + 1.0);
+  }
+
+  /// The process-wide table.
+  static const DynScoreTable& Get();
+
+  double Score(uint32_t f) const {
+    return f < kSize ? table_[f] : Formula(f);
+  }
+
+ private:
+  DynScoreTable();
+
+  std::array<double, kSize> table_;
+};
+
 /// Dyn: decreasing in the running recommendation frequency f_i^A.
 class DynCoverage : public CoverageModel {
  public:
@@ -77,6 +110,7 @@ class DynCoverage : public CoverageModel {
     ++counts_[static_cast<size_t>(i)];
   }
   bool IsDynamic() const override { return true; }
+  std::span<const uint32_t> DynCounts() const override { return counts_; }
   std::string name() const override { return "Dyn"; }
 
   /// Running recommendation frequencies f^A (the OSLG snapshot payload).
@@ -97,10 +131,9 @@ class DynSnapshotView : public CoverageModel {
       : counts_(counts) {}
 
   double Score(UserId /*u*/, ItemId i) const override {
-    return 1.0 /
-           std::sqrt(static_cast<double>(counts_[static_cast<size_t>(i)]) +
-                     1.0);
+    return DynScoreTable::Get().Score(counts_[static_cast<size_t>(i)]);
   }
+  std::span<const uint32_t> DynCounts() const override { return counts_; }
   std::string name() const override { return "Dyn"; }
 
  private:

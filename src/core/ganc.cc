@@ -38,13 +38,27 @@ void GreedyTopNForUserInto(std::span<const double> accuracy, double theta_u,
                            std::span<const ItemId> candidates, int top_n,
                            ScoringContext& ctx, std::vector<ItemId>& out) {
   std::vector<ScoredItem>& top = ctx.TopK();
-  SelectTopKByInto(
-      candidates, static_cast<size_t>(top_n),
-      [&](ItemId i) {
-        return (1.0 - theta_u) * accuracy[static_cast<size_t>(i)] +
-               theta_u * coverage.Score(u, i);
-      },
-      &top);
+  auto select = [&](auto&& coverage_of) {
+    SelectTopKByInto(
+        candidates, static_cast<size_t>(top_n),
+        [&](ItemId i) {
+          return (1.0 - theta_u) * accuracy[static_cast<size_t>(i)] +
+                 theta_u * coverage_of(i);
+        },
+        &top);
+  };
+  // One virtual call per user picks the coverage form. Dyn candidates
+  // then read their count and the score table inline; the others keep
+  // the per-candidate Score call.
+  if (const std::span<const uint32_t> counts = coverage.DynCounts();
+      !counts.empty()) {
+    const DynScoreTable& table = DynScoreTable::Get();
+    select([&](ItemId i) {
+      return table.Score(counts[static_cast<size_t>(i)]);
+    });
+  } else {
+    select([&](ItemId i) { return coverage.Score(u, i); });
+  }
   out.clear();
   out.reserve(top.size());
   for (const ScoredItem& s : top) out.push_back(s.item);
@@ -235,11 +249,9 @@ double CollectionValue(const AccuracyScorer& accuracy,
         double acc_sum = 0.0, cov_sum = 0.0;
         for (ItemId i : topn[static_cast<size_t>(u)]) {
           acc_sum += a[static_cast<size_t>(i)];
-          cov_sum +=
-              kind == CoverageKind::kDyn
-                  ? 1.0 / std::sqrt(1.0 + static_cast<double>(
-                                              counts[static_cast<size_t>(i)]))
-                  : static_cov->Score(u, i);
+          cov_sum += kind == CoverageKind::kDyn
+                         ? DynScoreTable::Formula(counts[static_cast<size_t>(i)])
+                         : static_cov->Score(u, i);
         }
         value += (1.0 - t) * acc_sum + t * cov_sum;
       });

@@ -53,9 +53,10 @@ struct GancConfig {
   /// (shuffled) order.
   bool order_by_theta = true;
   /// Optional pool for the parallel phase, the Rand/Stat per-user loop,
-  /// and OSLG's KDE density evaluations (Algorithm 1, line 2). Every use
-  /// keeps its serial per-user arithmetic, so the collection is
-  /// bit-identical with or without a pool and for every pool size.
+  /// and the grid densities of OSLG's binned KDE sample (Algorithm 1,
+  /// line 2). Every use keeps the serial arithmetic of each user and each
+  /// grid point, so the collection is bit-identical with or without a
+  /// pool and for every pool size.
   ThreadPool* pool = nullptr;
 };
 

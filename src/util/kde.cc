@@ -63,6 +63,76 @@ double KernelDensity::SampleTruncated(double lo, double hi, Rng* rng) const {
   return std::clamp(Sample(rng), lo, hi);
 }
 
+std::vector<double> BinnedKdeDensities(const std::vector<double>& values,
+                                       double bandwidth, ThreadPool* pool) {
+  const size_t n = values.size();
+  if (n == 0) return {};
+  const auto [lo_it, hi_it] = std::minmax_element(values.begin(), values.end());
+  constexpr size_t M = kKdeGridPoints;
+  const double lo = *lo_it;
+  const double step = (*hi_it - lo) / static_cast<double>(M - 1);
+  if (!(step > 0.0)) {
+    // A constant sample (or one too narrow to grid): each density is n
+    // kernels at distance 0.
+    return std::vector<double>(n, kInvSqrt2Pi / bandwidth);
+  }
+
+  // Linear binning: a value between grid points j and j + 1 puts weight
+  // 1 - frac on j and frac on j + 1. The same locate() places a value for
+  // binning and for reading its density back.
+  auto locate = [&](double v, size_t* j, double* frac) {
+    const double t = std::min((v - lo) / step, static_cast<double>(M - 1));
+    *j = std::min(static_cast<size_t>(t), M - 2);
+    *frac = t - static_cast<double>(*j);
+  };
+  std::vector<double> bins(M, 0.0);
+  for (double v : values) {
+    size_t j;
+    double frac;
+    locate(v, &j, &frac);
+    bins[j] += 1.0 - frac;
+    bins[j + 1] += frac;
+  }
+
+  // kernel[M - 1 + d] = K(d * step / h) for d in (-M, M), so grid point k
+  // reads grid point j's kernel at kernel[M - 1 + k - j].
+  std::vector<double> kernel(2 * M - 1);
+  for (size_t d = 0; d < M; ++d) {
+    const double z = static_cast<double>(d) * step / bandwidth;
+    kernel[M - 1 + d] = kernel[M - 1 - d] = std::exp(-0.5 * z * z);
+  }
+
+  // Grid densities, kBlock grid points at a time. Each point sums j = 0..M-1
+  // in ascending order into its own accumulator; the block only interleaves
+  // independent sums, and the pool only splits whole blocks, so every grid
+  // density has the same bits for any pool size.
+  constexpr size_t kBlock = 8;
+  static_assert(M % kBlock == 0);
+  const double scale = kInvSqrt2Pi / (bandwidth * static_cast<double>(n));
+  std::vector<double> grid(M);
+  ParallelForChunks(pool, 0, M / kBlock, [&](size_t b_lo, size_t b_hi) {
+    for (size_t b = b_lo; b < b_hi; ++b) {
+      const size_t k0 = b * kBlock;
+      double acc[kBlock] = {};
+      for (size_t j = 0; j < M; ++j) {
+        const double c = bins[j];
+        const double* kern = &kernel[M - 1 + k0 - j];
+        for (size_t r = 0; r < kBlock; ++r) acc[r] += c * kern[r];
+      }
+      for (size_t r = 0; r < kBlock; ++r) grid[k0 + r] = acc[r] * scale;
+    }
+  });
+
+  std::vector<double> density(n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t j;
+    double frac;
+    locate(values[i], &j, &frac);
+    density[i] = (1.0 - frac) * grid[j] + frac * grid[j + 1];
+  }
+  return density;
+}
+
 Result<std::vector<size_t>> KdeProportionalSample(
     const std::vector<double>& values, size_t k, Rng* rng, ThreadPool* pool) {
   if (k > values.size()) {
@@ -72,12 +142,9 @@ Result<std::vector<size_t>> KdeProportionalSample(
   if (k == 0) return std::vector<size_t>{};
   Result<KernelDensity> kde = KernelDensity::Fit(values);
   if (!kde.ok()) return kde.status();
-  std::vector<double> weights(values.size());
-  ParallelForChunks(pool, 0, values.size(), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      weights[i] = std::max(kde->Pdf(values[i]), 1e-12);
-    }
-  });
+  std::vector<double> weights =
+      BinnedKdeDensities(values, kde->bandwidth(), pool);
+  for (double& w : weights) w = std::max(w, 1e-12);
   return WeightedSampleWithoutReplacement(weights, k, rng);
 }
 

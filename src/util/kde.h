@@ -9,6 +9,7 @@
 #ifndef GANC_UTIL_KDE_H_
 #define GANC_UTIL_KDE_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "util/rng.h"
@@ -59,17 +60,38 @@ class KernelDensity {
   double bandwidth_;
 };
 
+/// Grid points of the binned KDE behind KdeProportionalSample.
+inline constexpr size_t kKdeGridPoints = 2048;
+
+/// Binned Gaussian KDE (Silverman 1982, AS 176; Wand 1994) at every
+/// element of `values`, with bandwidth `bandwidth`: the values are
+/// linear-binned onto kKdeGridPoints points spanning [min, max], the grid
+/// densities are direct sums over the grid, and each value reads the
+/// linear interpolation between its two grid points. Costs
+/// O(n + kKdeGridPoints^2) instead of the exact O(n^2); the relative
+/// error against KernelDensity::Pdf is O((step / bandwidth)^2), with step
+/// = (max - min) / (kKdeGridPoints - 1). A constant sample gets equal
+/// densities. Values must be finite and `bandwidth` positive.
+///
+/// Binning and interpolation run serially in index order; each grid
+/// density sums the grid in ascending order, and a non-null `pool` only
+/// splits whole blocks of grid points. The densities therefore have the
+/// same bits for a null pool and for every pool size.
+std::vector<double> BinnedKdeDensities(const std::vector<double>& values,
+                                       double bandwidth,
+                                       ThreadPool* pool = nullptr);
+
 /// Draws `k` distinct indices from `values` (one index per element) such
 /// that the probability of picking index u is proportional to the KDE
 /// density at values[u]. This is the user-sampling step of OSLG: users in
 /// dense regions of the preference distribution are more likely to be
 /// chosen for the sequential phase. Requires k <= values.size().
 ///
-/// The n density evaluations cost O(n^2) and are independent, so a
-/// non-null `pool` spreads them over its workers in contiguous chunks.
-/// Each density keeps its serial j = 0..n-1 summation order, so the
-/// weights — and therefore the drawn indices — are bit-identical for a
-/// null pool and for every pool size.
+/// The bandwidth comes from KernelDensity::Fit (Silverman's rule) and the
+/// weights are max(BinnedKdeDensities(values), 1e-12), so the cost is
+/// O(n log n) for the fit's quantiles plus O(kKdeGridPoints^2) for the
+/// grid. `pool` spreads the grid over its workers; the drawn indices are
+/// bit-identical for a null pool and for every pool size.
 Result<std::vector<size_t>> KdeProportionalSample(
     const std::vector<double>& values, size_t k, Rng* rng,
     ThreadPool* pool = nullptr);

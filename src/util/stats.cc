@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <numeric>
 #include <string>
@@ -54,9 +55,42 @@ void MinMaxNormalize(std::vector<double>* x) {
 
 void MinMaxNormalize(std::span<double> x) {
   if (x.empty()) return;
-  const auto [lo_it, hi_it] = std::minmax_element(x.begin(), x.end());
-  const double lo = *lo_it;
-  const double range = *hi_it - lo;
+  // Min and max over four independent two-double accumulators (the
+  // GCC/Clang vector extension, whose lane-wise selects compile to
+  // minpd/maxpd), so the scan has no data-dependent branch to mispredict
+  // on unsorted scores.
+  using Pair = double __attribute__((vector_size(16)));
+  constexpr size_t kPairs = 4;
+  Pair lo_acc[kPairs], hi_acc[kPairs];
+  for (size_t a = 0; a < kPairs; ++a) lo_acc[a] = hi_acc[a] = Pair{x[0], x[0]};
+  const size_t n = x.size();
+  size_t i = 0;
+  for (; i + 2 * kPairs <= n; i += 2 * kPairs) {
+    for (size_t a = 0; a < kPairs; ++a) {
+      Pair v;
+      std::memcpy(&v, &x[i + 2 * a], sizeof(v));
+      lo_acc[a] = v < lo_acc[a] ? v : lo_acc[a];
+      hi_acc[a] = v > hi_acc[a] ? v : hi_acc[a];
+    }
+  }
+  double lo = x[0];
+  double hi = x[0];
+  auto fold = [&](double v) {
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+  };
+  for (size_t a = 0; a < kPairs; ++a) {
+    for (size_t l = 0; l < 2; ++l) {
+      fold(lo_acc[a][l]);
+      fold(hi_acc[a][l]);
+    }
+  }
+  for (; i < n; ++i) fold(x[i]);
+  // The extremes' values are exact, but a zero minimum may carry either
+  // sign, and v - lo maps a -0.0 element to -0.0 or +0.0 depending on it.
+  // The minimum is the first minimal element in index order.
+  if (lo == 0.0) lo = *std::find(x.begin(), x.end(), 0.0);
+  const double range = hi - lo;
   if (range <= 0.0) {
     std::fill(x.begin(), x.end(), 0.0);
     return;

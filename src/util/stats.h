@@ -31,7 +31,9 @@ double Max(const std::vector<double>& x);
 double Quantile(std::vector<double> x, double q);
 
 /// Min-max normalization x_i <- (x_i - min) / (max - min), the paper's
-/// Section II-A normalization. A constant vector maps to all zeros.
+/// Section II-A normalization. A constant vector maps to all zeros. min
+/// is the first minimal element in index order, which fixes the sign of a
+/// zero minimum and so of every normalized -0.0.
 void MinMaxNormalize(std::vector<double>* x);
 
 /// Span overload for buffers borrowed from a ScoringContext.

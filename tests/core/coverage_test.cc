@@ -1,6 +1,7 @@
 #include "core/coverage.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +98,45 @@ TEST(DynCoverageTest, SnapshotRoundTrip) {
   for (ItemId i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(restored.Score(0, i), cov.Score(0, i));
   }
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+TEST(DynScoreTableTest, EveryCountKeepsTheFormulasBits) {
+  // Counts on both sides of the table's end read 1 / sqrt(f + 1) exactly,
+  // through the table, DynCoverage and DynSnapshotView alike.
+  const uint32_t n = 2 * DynScoreTable::kSize + 3;
+  std::vector<uint32_t> counts(n);
+  for (uint32_t f = 0; f < n; ++f) counts[f] = f;
+  counts.push_back(4000000000u);
+  DynCoverage dyn(static_cast<int32_t>(counts.size()));
+  dyn.SetCounts(counts);
+  const DynSnapshotView view(counts);
+  const DynScoreTable& table = DynScoreTable::Get();
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const uint64_t want =
+        Bits(1.0 / std::sqrt(static_cast<double>(counts[i]) + 1.0));
+    EXPECT_EQ(Bits(table.Score(counts[i])), want) << counts[i];
+    EXPECT_EQ(Bits(dyn.Score(0, static_cast<ItemId>(i))), want) << counts[i];
+    EXPECT_EQ(Bits(view.Score(0, static_cast<ItemId>(i))), want)
+        << counts[i];
+  }
+}
+
+TEST(DynCountsTest, OnlyDynModelsExposeTheirCounts) {
+  const RatingDataset ds = SyntheticTrain();
+  DynCoverage dyn(ds.num_items());
+  dyn.Observe(3);
+  EXPECT_EQ(dyn.DynCounts().data(), dyn.counts().data());
+  EXPECT_EQ(dyn.DynCounts().size(), dyn.counts().size());
+  const DynSnapshotView view(dyn.counts());
+  EXPECT_EQ(view.DynCounts().data(), dyn.counts().data());
+  EXPECT_TRUE(RandCoverage(ds.num_items(), 1).DynCounts().empty());
+  EXPECT_TRUE(StatCoverage(ds).DynCounts().empty());
 }
 
 TEST(MakeCoverageTest, FactoryProducesCorrectKinds) {

@@ -1,10 +1,14 @@
 #include "core/ganc.h"
 
+#include <cmath>
 #include <numeric>
 #include <set>
+#include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "util/binary_io.h"
 #include "util/rng.h"
 #include "util/top_k.h"
 
@@ -68,6 +72,133 @@ TEST(GreedyTopNForUserTest, PureCoverageAtThetaOne) {
   for (ItemId i : cands) cov_scored.push_back({i, stat.Score(0, i)});
   const auto pure = SelectTopK(cov_scored, 5);
   for (size_t k = 0; k < 5; ++k) EXPECT_EQ(mixed[k], pure[k].item);
+}
+
+// GreedyTopNForUserInto as it was before the table-driven Dyn path,
+// kept verbatim with the Dyn score it called per candidate: the golden.
+class GoldenDynCoverage : public CoverageModel {
+ public:
+  explicit GoldenDynCoverage(std::span<const uint32_t> counts)
+      : counts_(counts) {}
+
+  double Score(UserId /*u*/, ItemId i) const override {
+    return 1.0 /
+           std::sqrt(static_cast<double>(counts_[static_cast<size_t>(i)]) +
+                     1.0);
+  }
+  std::string name() const override { return "Dyn"; }
+
+ private:
+  std::span<const uint32_t> counts_;
+};
+
+void GoldenGreedyTopNForUserInto(std::span<const double> accuracy,
+                                 double theta_u,
+                                 const CoverageModel& coverage, UserId u,
+                                 std::span<const ItemId> candidates,
+                                 int top_n, ScoringContext& ctx,
+                                 std::vector<ItemId>& out) {
+  std::vector<ScoredItem>& top = ctx.TopK();
+  SelectTopKByInto(
+      candidates, static_cast<size_t>(top_n),
+      [&](ItemId i) {
+        return (1.0 - theta_u) * accuracy[static_cast<size_t>(i)] +
+               theta_u * coverage.Score(u, i);
+      },
+      &top);
+  out.clear();
+  out.reserve(top.size());
+  for (const ScoredItem& s : top) out.push_back(s.item);
+}
+
+TEST(GreedyTopNForUserTest, DynMatchesGoldenGreedyBitForBit) {
+  Fixture f;
+  const size_t ni = static_cast<size_t>(f.train.num_items());
+  Rng rng(17);
+  // Counts straddle the score table: about half lie past its end.
+  std::vector<uint32_t> counts(ni);
+  for (uint32_t& c : counts) {
+    c = static_cast<uint32_t>(rng.UniformInt(2 * DynScoreTable::kSize));
+  }
+  counts[0] = DynScoreTable::kSize - 1;
+  counts[1] = DynScoreTable::kSize;
+  DynCoverage dyn(f.train.num_items());
+  dyn.SetCounts(counts);
+  const DynSnapshotView view(counts);
+  const GoldenDynCoverage golden(counts);
+  ScoringContext ctx;
+  std::vector<ItemId> want, got;
+  for (UserId u = 0; u < 20; ++u) {
+    std::vector<double> acc = f.scorer->ScoreAll(u);
+    // Coarse accuracy makes mixed-score ties, so the tie order is pinned
+    // too.
+    if (u % 2 == 1) {
+      for (double& a : acc) a = std::round(a * 8.0) / 8.0;
+    }
+    const std::vector<ItemId> cands = f.train.UnratedItems(u);
+    const int all = static_cast<int>(cands.size());
+    for (double theta : {0.0, 0.37, 1.0}) {
+      // Scan and dense selection regimes, and more than the candidates.
+      for (int top_n : {1, 5, 50, all, all + 7}) {
+        GoldenGreedyTopNForUserInto(acc, theta, golden, u, cands, top_n, ctx,
+                                    want);
+        for (const CoverageModel* cov :
+             {static_cast<const CoverageModel*>(&dyn),
+              static_cast<const CoverageModel*>(&view)}) {
+          GreedyTopNForUserInto(acc, theta, *cov, u, cands, top_n, ctx, got);
+          EXPECT_EQ(got, want) << "user " << u << " theta " << theta
+                               << " top_n " << top_n;
+        }
+      }
+    }
+  }
+}
+
+uint64_t CollectionDigest(const TopNCollection& topn) {
+  Fnv1aHasher h;
+  for (const std::vector<ItemId>& list : topn) {
+    const uint32_t size = static_cast<uint32_t>(list.size());
+    h.Update(&size, sizeof(size));
+    h.Update(list.data(), list.size() * sizeof(ItemId));
+  }
+  return h.digest();
+}
+
+TEST(GancTest, PathsWithoutKdeKeepTheirDigests) {
+  // FNV-1a digests of RecommendAll taken before the binned KDE, the Dyn
+  // score table and the branch-free normalization. None of these paths
+  // draws a KDE sample, so every list keeps its bits, serial and pooled.
+  Fixture f;
+  struct Case {
+    const char* name;
+    CoverageKind kind;
+    int sample_size;
+    bool kde_sampling;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"Dyn, uniform sample", CoverageKind::kDyn, 40, false,
+       0xcbd9c469c43ce0f1ULL},
+      {"Dyn, full locally greedy", CoverageKind::kDyn, 0, true,
+       0x73af83173a353c12ULL},
+      {"Rand", CoverageKind::kRand, 40, true, 0x4eb950fe4f741324ULL},
+      {"Stat", CoverageKind::kStat, 40, true, 0x566d12a97c9e4713ULL},
+  };
+  ThreadPool pool(4);
+  for (const Case& c : cases) {
+    Ganc ganc(f.scorer.get(), f.theta, c.kind);
+    GancConfig cfg;
+    cfg.top_n = 5;
+    cfg.sample_size = c.sample_size;
+    cfg.kde_sampling = c.kde_sampling;
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      cfg.pool = p;
+      auto topn = ganc.RecommendAll(f.train, cfg);
+      ASSERT_TRUE(topn.ok()) << c.name;
+      EXPECT_EQ(CollectionDigest(*topn), c.digest)
+          << c.name << (p == nullptr ? ", serial" : ", pooled");
+    }
+  }
 }
 
 TEST(GancTest, ValidatesInputs) {

@@ -1,8 +1,15 @@
 #include "util/stats.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace ganc {
 namespace {
@@ -58,6 +65,93 @@ TEST(MinMaxNormalizeTest, EmptyIsNoop) {
   std::vector<double> x;
   MinMaxNormalize(&x);
   EXPECT_TRUE(x.empty());
+}
+
+// MinMaxNormalize as it was before the branch-free min/max reduction,
+// kept verbatim as the golden: rows must match it byte for byte.
+void GoldenMinMaxNormalize(std::span<double> x) {
+  if (x.empty()) return;
+  const auto [lo_it, hi_it] = std::minmax_element(x.begin(), x.end());
+  const double lo = *lo_it;
+  const double range = *hi_it - lo;
+  if (range <= 0.0) {
+    std::fill(x.begin(), x.end(), 0.0);
+    return;
+  }
+  for (double& v : x) v = (v - lo) / range;
+}
+
+void ExpectNormalizesLikeGolden(const std::vector<double>& row,
+                                const std::string& what) {
+  std::vector<double> want = row;
+  std::vector<double> got = row;
+  GoldenMinMaxNormalize(want);
+  MinMaxNormalize(&got);
+  ASSERT_EQ(got.size(), want.size());
+  if (got.empty()) return;  // memcmp must not see the null data()
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+std::vector<double> RandomRow(size_t n, Rng* rng) {
+  std::vector<double> row(n);
+  for (double& v : row) v = rng->Normal();
+  return row;
+}
+
+TEST(MinMaxNormalizeTest, BitIdenticalOnEveryLength) {
+  // Lengths 0-67 cover every accumulator tail.
+  Rng rng(41);
+  for (size_t n = 0; n <= 67; ++n) {
+    ExpectNormalizesLikeGolden(RandomRow(n, &rng), "n=" + std::to_string(n));
+  }
+}
+
+TEST(MinMaxNormalizeTest, BitIdenticalOnRandomRows) {
+  Rng rng(42);
+  for (int r = 0; r < 200; ++r) {
+    const size_t n = 1 + rng.UniformInt(4000);
+    ExpectNormalizesLikeGolden(RandomRow(n, &rng), "row " + std::to_string(r));
+  }
+  ExpectNormalizesLikeGolden(RandomRow(20000, &rng), "20K-item row");
+}
+
+TEST(MinMaxNormalizeTest, BitIdenticalOnTiesAndConstantRows) {
+  Rng rng(43);
+  for (size_t n : {2u, 9u, 37u, 3706u}) {
+    std::vector<double> row = RandomRow(n, &rng);
+    const double lo = *std::min_element(row.begin(), row.end());
+    const double hi = *std::max_element(row.begin(), row.end());
+    // Ties at the minimum and at the maximum, spread over several lanes.
+    for (size_t i = 0; i < n; i += 3) row[i] = lo;
+    for (size_t i = 1; i < n; i += 5) row[i] = hi;
+    ExpectNormalizesLikeGolden(row, "ties n=" + std::to_string(n));
+    ExpectNormalizesLikeGolden(std::vector<double>(n, 0.25),
+                               "constant n=" + std::to_string(n));
+  }
+}
+
+TEST(MinMaxNormalizeTest, BitIdenticalOnSignedZeroMinimum) {
+  // The minimum is zero with both signs present. Which zero comes first
+  // decides the sign of every normalized -0.0, so put the first zero in
+  // every lane and in the tail, with either sign first.
+  Rng rng(44);
+  for (size_t n : {1u, 8u, 19u, 67u}) {
+    for (size_t first = 0; first < n; ++first) {
+      for (double first_zero : {0.0, -0.0}) {
+        std::vector<double> row(n);
+        for (double& v : row) v = 0.1 + rng.Uniform();
+        row[first] = first_zero;
+        for (size_t i = first + 1; i < n; i += 2) {
+          row[i] = (i / 2) % 2 == 0 ? -0.0 : 0.0;
+        }
+        ExpectNormalizesLikeGolden(
+            row, "n=" + std::to_string(n) + " first=" + std::to_string(first) +
+                     (std::signbit(first_zero) ? " -0" : " +0"));
+      }
+    }
+  }
 }
 
 TEST(ClampAllTest, Basic) {
