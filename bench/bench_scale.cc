@@ -1,12 +1,12 @@
-// Out-of-core scale harness: the empirical backing for the mmap
-// artifact path. For 100K / 300K / 1M synthetic power-law users it
+// Out-of-core scale harness: the empirical backing for the mapped
+// artifact loads. For 100K / 300K / 1M synthetic power-law users it
 // measures
 //
 //   * streaming corpus generation time (O(users) memory),
-//   * model fit time over the mapped cache,
-//   * cold-load-to-first-request latency, mapped vs eager,
+//   * model fit time and peak RSS over the mapped cache,
+//   * cold-load-to-first-request latency,
 //   * store-backed serve throughput,
-//   * peak RSS of the serving process, mapped vs eager.
+//   * peak RSS of the serving process.
 //
 // Peak RSS (VmHWM) is a per-process high-water mark, so every phase
 // runs in a re-exec'ed child (`--phase=...`) and the parent collects
@@ -88,7 +88,7 @@ int PhaseGen(const std::string& dir, int64_t users) {
 }
 
 int PhasePrep(const std::string& dir, int64_t users) {
-  auto train = RatingDataset::LoadFileAuto(CachePath(dir, users), true);
+  auto train = RatingDataset::LoadFile(CachePath(dir, users));
   if (!train.ok()) Die("load cache", train.status());
   if (Status s = train->EnsureResident(); !s.ok()) Die("resident", s);
 
@@ -118,19 +118,14 @@ int PhasePrep(const std::string& dir, int64_t users) {
   return 0;
 }
 
-// Out-of-core training probe: fit PSVD10 over the cache, mapped under a
-// small residency budget vs fully resident. The interesting number is
-// the RSS gap — the budgeted mapped fit should scale with the window
+// Out-of-core training probe: fit PSVD10 over the mapped cache under a
+// small residency budget. The peak RSS should scale with the window
 // budget plus the factor tables, not with the total rating count.
-int PhaseTrain(const std::string& dir, int64_t users, bool mmap) {
+int PhaseTrain(const std::string& dir, int64_t users) {
   constexpr int64_t kTrainBudgetBytes = 64 << 20;
-  auto train = RatingDataset::LoadFileAuto(CachePath(dir, users), mmap);
+  auto train = RatingDataset::LoadFile(CachePath(dir, users));
   if (!train.ok()) Die("load cache", train.status());
-  if (mmap) {
-    train->set_train_budget_bytes(kTrainBudgetBytes);
-  } else if (Status s = train->EnsureResident(); !s.ok()) {
-    Die("resident", s);
-  }
+  train->set_train_budget_bytes(kTrainBudgetBytes);
   PsvdRecommender model(PsvdConfig{.num_factors = 10});
   WallTimer fit_timer;
   if (Status s = model.Fit(*train); !s.ok()) Die("fit", s);
@@ -138,30 +133,27 @@ int PhaseTrain(const std::string& dir, int64_t users, bool mmap) {
   if (Status s = SaveModelFile(model, FactorModelPath(dir, users)); !s.ok()) {
     Die("save model", s);
   }
-  std::printf("@RESULT {\"mode\": \"%s\", \"fit_seconds\": %.3f, "
-              "\"budget_mb\": %d, \"peak_rss_mb\": %.1f}\n",
-              mmap ? "mmap" : "eager", fit_sec,
-              mmap ? static_cast<int>(kTrainBudgetBytes >> 20) : 0,
+  std::printf("@RESULT {\"fit_seconds\": %.3f, \"budget_mb\": %d, "
+              "\"peak_rss_mb\": %.1f}\n",
+              fit_sec, static_cast<int>(kTrainBudgetBytes >> 20),
               PeakRssMb());
   return 0;
 }
 
 // Cold start to first answered request, then store-backed throughput —
-// the serving process the harness actually cares about. `mmap` toggles
-// every artifact load between the mapped and the eager path.
-int PhaseServe(const std::string& dir, int64_t users, bool mmap) {
+// the serving process the harness actually cares about.
+int PhaseServe(const std::string& dir, int64_t users) {
   WallTimer cold;
-  auto train = RatingDataset::LoadFileAuto(CachePath(dir, users), mmap);
+  auto train = RatingDataset::LoadFile(CachePath(dir, users));
   if (!train.ok()) Die("load cache", train.status());
   ServiceConfig config;
   config.micro_batching = false;
   config.cache_capacity = 0;  // measure the store path, not the LRU
-  config.mmap_artifacts = mmap;
   auto service =
       RecommendationService::LoadModelService(ModelPath(dir, users), *train,
                                               config);
   if (!service.ok()) Die("load model", service.status());
-  auto store = TopNStore::LoadFileAuto(StorePath(dir, users), mmap);
+  auto store = TopNStore::LoadFile(StorePath(dir, users));
   if (!store.ok()) Die("load store", store.status());
   const std::vector<UserId> head = HeadUsersByActivity(*train, kHeadUsers);
   if (Status s = (*service)->AttachStore(
@@ -184,10 +176,9 @@ int PhaseServe(const std::string& dir, int64_t users, bool mmap) {
   const double serve_sec = serve_timer.ElapsedSeconds();
   const MetricsSnapshot stats = (*service)->metrics_registry()->Snapshot();
   std::printf(
-      "@RESULT {\"mode\": \"%s\", \"first_request_ms\": %.2f, "
-      "\"serve_qps\": %.0f, \"store_hit_rate\": %.3f, "
-      "\"peak_rss_mb\": %.1f}\n",
-      mmap ? "mmap" : "eager", first_ms,
+      "@RESULT {\"first_request_ms\": %.2f, \"serve_qps\": %.0f, "
+      "\"store_hit_rate\": %.3f, \"peak_rss_mb\": %.1f}\n",
+      first_ms,
       static_cast<double>(kServeRequests) / serve_sec,
       static_cast<double>(stats.CounterValue("serve_store_hits_total")) /
           static_cast<double>(stats.CounterValue("serve_requests_total")),
@@ -265,10 +256,8 @@ int main(int argc, char** argv) {
     }
     if (phase == "gen") return PhaseGen(dir, users);
     if (phase == "prep") return PhasePrep(dir, users);
-    if (phase == "train-mmap") return PhaseTrain(dir, users, true);
-    if (phase == "train-eager") return PhaseTrain(dir, users, false);
-    if (phase == "serve-mmap") return PhaseServe(dir, users, true);
-    if (phase == "serve-eager") return PhaseServe(dir, users, false);
+    if (phase == "train") return PhaseTrain(dir, users);
+    if (phase == "serve") return PhaseServe(dir, users);
     std::fprintf(stderr, "bench_scale: unknown phase '%s'\n", phase.c_str());
     return 1;
   }
@@ -301,21 +290,15 @@ int main(int argc, char** argv) {
     std::printf("--- %" PRId64 " users ---\n", users);
     const std::string gen = RunChild(exe, "gen", dir, users);
     const std::string prep = RunChild(exe, "prep", dir, users);
-    const std::string train_mmap = RunChild(exe, "train-mmap", dir, users);
-    const std::string train_eager = RunChild(exe, "train-eager", dir, users);
-    const std::string mmap = RunChild(exe, "serve-mmap", dir, users);
-    const std::string eager = RunChild(exe, "serve-eager", dir, users);
-    std::printf("  gen         %s\n  prep        %s\n  train-mmap  %s\n"
-                "  train-eager %s\n  mmap        %s\n  eager       %s\n",
-                gen.c_str(), prep.c_str(), train_mmap.c_str(),
-                train_eager.c_str(), mmap.c_str(), eager.c_str());
+    const std::string train = RunChild(exe, "train", dir, users);
+    const std::string serve = RunChild(exe, "serve", dir, users);
+    std::printf("  gen    %s\n  prep   %s\n  train  %s\n  serve  %s\n",
+                gen.c_str(), prep.c_str(), train.c_str(), serve.c_str());
     json += "    {\"users\": " + std::to_string(users) + ",\n";
     json += "     \"generate\": " + gen + ",\n";
     json += "     \"prepare\": " + prep + ",\n";
-    json += "     \"train_mmap\": " + train_mmap + ",\n";
-    json += "     \"train_eager\": " + train_eager + ",\n";
-    json += "     \"serve_mmap\": " + mmap + ",\n";
-    json += "     \"serve_eager\": " + eager + "}";
+    json += "     \"train_mmap\": " + train + ",\n";
+    json += "     \"serve_mmap\": " + serve + "}";
     json += (i + 1 < sizes.size()) ? ",\n" : "\n";
 
     std::remove(CachePath(dir, users).c_str());

@@ -444,12 +444,14 @@ void BM_DatasetParseText(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetParseText);
 
+// Open + EnsureResident: the full load, paying the O(nnz) row
+// validation and CSC build that a mapped open defers.
 void BM_DatasetCacheLoad(benchmark::State& state) {
   const std::string path = BenchTempPath(".gdc");
   if (!BenchTrain().SaveBinaryFile(path).ok()) std::abort();
   for (auto _ : state) {
-    auto loaded = RatingDataset::LoadBinaryFile(path);
-    if (!loaded.ok()) std::abort();
+    auto loaded = RatingDataset::LoadFile(path);
+    if (!loaded.ok() || !loaded->EnsureResident().ok()) std::abort();
     benchmark::DoNotOptimize(loaded);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -458,13 +460,12 @@ void BM_DatasetCacheLoad(benchmark::State& state) {
 BENCHMARK(BM_DatasetCacheLoad);
 
 // Mapped cold open: header + O(users) sections only, no row
-// materialization — the out-of-core serving start path. Contrast with
-// BM_DatasetCacheLoad's full eager parse of the same file.
+// materialization — the out-of-core serving start path.
 void BM_DatasetCacheMappedOpen(benchmark::State& state) {
   const std::string path = BenchTempPath("_mmap.gdc");
   if (!BenchTrain().SaveBinaryFile(path).ok()) std::abort();
   for (auto _ : state) {
-    auto loaded = RatingDataset::LoadMappedFile(path);
+    auto loaded = RatingDataset::LoadFile(path);
     if (!loaded.ok()) std::abort();
     benchmark::DoNotOptimize(loaded);
   }
@@ -473,29 +474,13 @@ void BM_DatasetCacheMappedOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetCacheMappedOpen);
 
-// Mapped open + EnsureResident: the lazy path paying its deferred
-// O(nnz) validation and CSC build — total work comparable to the eager
-// loader, split so serving never pays it.
-void BM_DatasetCacheMappedResident(benchmark::State& state) {
-  const std::string path = BenchTempPath("_mmapr.gdc");
-  if (!BenchTrain().SaveBinaryFile(path).ok()) std::abort();
-  for (auto _ : state) {
-    auto loaded = RatingDataset::LoadMappedFile(path);
-    if (!loaded.ok() || !loaded->EnsureResident().ok()) std::abort();
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          BenchTrain().num_ratings());
-}
-BENCHMARK(BM_DatasetCacheMappedResident);
-
 // Mapped model load: factor tables borrowed from the file mapping
-// instead of copied (contrast with BM_ModelLoad_PSVD40).
+// (contrast with BM_ModelLoad_PSVD40, which buffers a stream).
 void BM_ModelLoadMapped_PSVD40(benchmark::State& state) {
   const std::string path = BenchTempPath("_mmap.gam");
   if (!SaveModelFile(BenchPsvd(), path).ok()) std::abort();
   for (auto _ : state) {
-    auto loaded = LoadModelFileMapped(path, nullptr);
+    auto loaded = LoadModelFile(path, nullptr);
     if (!loaded.ok()) std::abort();
     benchmark::DoNotOptimize(loaded);
   }

@@ -114,21 +114,18 @@ Status GancPipeline::SaveFile(const std::string& path) const {
                            [&](std::ostream& os) { return Save(os); });
 }
 
-Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
-    std::istream& is, const RatingDataset& train, int num_threads) {
+Result<std::unique_ptr<GancPipeline>> GancPipeline::FromArtifact(
+    ArtifactReader& r, const RatingDataset& train, int num_threads) {
   if (num_threads < 0) {
     return Status::InvalidArgument(
         "num_threads must be >= 0 (1 = serial, 0 = hardware concurrency)");
   }
-  ArtifactReader r(is);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  if (!header.ok()) return header.status();
-  GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kPipeline, 0));
+  GANC_RETURN_NOT_OK(ExpectArtifact(r.header(), ArtifactKind::kPipeline, 0));
 
   Result<ArtifactReader::Section> config_section = r.ReadSectionExpect(
       kPipelineConfigSection);
   if (!config_section.ok()) return config_section.status();
-  PayloadReader cr(config_section->payload());
+  PayloadReader cr(config_section->payload);
   PipelineConfig config;
   uint32_t theta_model = 0;
   uint32_t coverage = 0;
@@ -166,7 +163,7 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
   Result<ArtifactReader::Section> theta_section = r.ReadSectionExpect(
       kPipelineThetaSection);
   if (!theta_section.ok()) return theta_section.status();
-  PayloadReader tr(theta_section->payload());
+  PayloadReader tr(theta_section->payload);
   std::vector<double> theta;
   GANC_RETURN_NOT_OK(tr.ReadVecF64(&theta));
   GANC_RETURN_NOT_OK(tr.ExpectEnd());
@@ -178,7 +175,7 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
   Result<ArtifactReader::Section> tail_section = r.ReadSectionExpect(
       kPipelineTailSection);
   if (!tail_section.ok()) return tail_section.status();
-  PayloadReader lr(tail_section->payload());
+  PayloadReader lr(tail_section->payload);
   LongTailInfo tail;
   uint64_t tail_items = 0;
   GANC_RETURN_NOT_OK(lr.ReadI32(&tail.tail_size));
@@ -201,14 +198,20 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
   Result<ArtifactReader::Section> model_section = r.ReadSectionExpect(
       kPipelineModelSection);
   if (!model_section.ok()) return model_section.status();
-  PayloadReader mr(model_section->payload());
-  std::string model_bytes;
-  GANC_RETURN_NOT_OK(mr.ReadString(&model_bytes));
+  PayloadReader mr(model_section->payload);
+  std::span<const char> model_bytes;
+  GANC_RETURN_NOT_OK(mr.BorrowVec(&model_bytes));
   GANC_RETURN_NOT_OK(mr.ExpectEnd());
   GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
 
-  std::istringstream model_stream(std::move(model_bytes), std::ios::binary);
-  Result<std::unique_ptr<Recommender>> base = LoadModel(model_stream, &train);
+  // The embedded model sits 8 bytes into its section, off the 64-byte
+  // grid its own sections assume: copy it once into an aligned buffer
+  // that its factor tables borrow from, so the pipeline file is mapped
+  // only while this function runs.
+  Result<ArtifactReader> model_reader = ArtifactReader::Open(
+      ArtifactBytes::Copy({model_bytes.data(), model_bytes.size()}));
+  if (!model_reader.ok()) return model_reader.status();
+  Result<std::unique_ptr<Recommender>> base = LoadModel(*model_reader, &train);
   if (!base.ok()) return base.status();
   if ((*base)->num_items() != train.num_items()) {
     return Status::InvalidArgument(
@@ -220,11 +223,18 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
                        MakeOwnedPool(config)));
 }
 
+Result<std::unique_ptr<GancPipeline>> GancPipeline::Load(
+    std::istream& is, const RatingDataset& train, int num_threads) {
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  if (!r.ok()) return r.status();
+  return FromArtifact(*r, train, num_threads);
+}
+
 Result<std::unique_ptr<GancPipeline>> GancPipeline::LoadFile(
     const std::string& path, const RatingDataset& train, int num_threads) {
-  return ReadArtifactFile(path, [&](std::istream& is) {
-    return Load(is, train, num_threads);
-  });
+  Result<ArtifactReader> r = ArtifactReader::OpenFile(path);
+  if (!r.ok()) return r.status();
+  return FromArtifact(*r, train, num_threads);
 }
 
 Result<TopNCollection> GancPipeline::RecommendAll() const {

@@ -86,7 +86,9 @@ class GancPipeline {
                                                     const RatingDataset& train,
                                                     int num_threads = 1);
 
-  /// Load from a file path.
+  /// Load from a file path. The file is mapped only while LoadFile
+  /// runs: theta and the tail statistics are copied out, and the
+  /// embedded model is copied once into a buffer its tables borrow.
   static Result<std::unique_ptr<GancPipeline>> LoadFile(
       const std::string& path, const RatingDataset& train,
       int num_threads = 1);
@@ -139,6 +141,10 @@ class GancPipeline {
   GancPipeline(std::unique_ptr<Recommender> base, const RatingDataset* train,
                PipelineConfig config, std::vector<double> theta,
                LongTailInfo tail, std::unique_ptr<ThreadPool> owned_pool);
+
+  /// The one pipeline loader, over either kind of artifact bytes.
+  static Result<std::unique_ptr<GancPipeline>> FromArtifact(
+      ArtifactReader& r, const RatingDataset& train, int num_threads);
 
   /// The worker pool `config` asks the pipeline to own (null when a
   /// caller pool is set or num_threads == 1). Built before base-model

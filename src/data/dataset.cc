@@ -14,38 +14,12 @@ namespace ganc {
 namespace {
 
 // Dataset cache section ids (kind kDatasetCache; see docs/FORMATS.md).
-// v2 wrote dims/offsets/items/values/order; v3 replaces the split
-// items+values arrays with one contiguous rows section (borrowable as
-// ItemRating spans) and adds the stored fingerprint.
+// Ids 3 and 4 held format v2's split item/value arrays: never reuse them.
 constexpr uint32_t kCacheDimsSection = 1;
 constexpr uint32_t kCacheOffsetsSection = 2;
-constexpr uint32_t kCacheItemsSection = 3;    // v2 only
-constexpr uint32_t kCacheValuesSection = 4;   // v2 only
 constexpr uint32_t kCacheOrderSection = 5;
-constexpr uint32_t kCacheRowsSection = 6;     // v3
-constexpr uint32_t kCacheFingerprintSection = 7;  // v3
-
-// Reads a [count u64][ItemRating...] vector from a section payload,
-// copying into owned storage (the stream-load path).
-Status ReadRowsVec(PayloadReader* pr, std::vector<ItemRating>* out) {
-  if constexpr (kGancHostIsLittleEndian) {
-    std::span<const ItemRating> rows;
-    GANC_RETURN_NOT_OK(pr->BorrowVec(&rows));
-    out->assign(rows.begin(), rows.end());
-    return Status::OK();
-  }
-  uint64_t count = 0;
-  GANC_RETURN_NOT_OK(pr->ReadU64(&count));
-  if (count > pr->remaining() / sizeof(ItemRating)) {
-    return Status::InvalidArgument("vector length exceeds section payload");
-  }
-  out->resize(count);
-  for (uint64_t k = 0; k < count; ++k) {
-    GANC_RETURN_NOT_OK(pr->ReadI32(&(*out)[k].item));
-    GANC_RETURN_NOT_OK(pr->ReadF32(&(*out)[k].value));
-  }
-  return Status::OK();
-}
+constexpr uint32_t kCacheRowsSection = 6;
+constexpr uint32_t kCacheFingerprintSection = 7;
 
 Status ValidateOffsets(std::span<const uint64_t> offsets, int32_t num_users,
                        int32_t num_items, uint64_t nnz) {
@@ -69,8 +43,8 @@ Status ValidateOffsets(std::span<const uint64_t> offsets, int32_t num_users,
 
 }  // namespace
 
-struct RatingDataset::MappedState {
-  std::shared_ptr<const MappedArtifact> artifact;
+struct RatingDataset::ArtifactState {
+  std::shared_ptr<const ArtifactBytes> bytes;
   std::once_flag once;
   Status status;
   /// Rows of users < this watermark passed ValidateRowRange. Sweeps
@@ -253,18 +227,19 @@ Status RatingDataset::SweepRowWindows(
       "Budgeted row windows visited by dataset sweeps.");
   static Counter* const sweep_rows = MetricsRegistry::Global().GetCounter(
       "data_sweep_rows_total", "Ratings visited by dataset row sweeps.");
-  const bool mapped = mapped_ != nullptr;
+  const bool loaded = artifact_ != nullptr;
+  const bool mapped = loaded && artifact_->bytes->is_mapping();
   for (const RowWindow& w : PlanRowWindows(budget_bytes, align_users)) {
     sweep_windows->Increment();
     sweep_rows->Increment(static_cast<uint64_t>(w.nnz));
-    if (mapped) {
+    if (loaded) {
       // First full pass doubles as the deferred row validation; the
       // watermark only ever advances front-to-back, so a later sweep
       // (or EnsureResident) never re-checks.
-      const UserId seen = mapped_->rows_validated_until.load();
+      const UserId seen = artifact_->rows_validated_until.load();
       if (seen < w.end) {
         GANC_RETURN_NOT_OK(ValidateRowRange(std::max(seen, w.begin), w.end));
-        if (w.begin <= seen) mapped_->rows_validated_until.store(w.end);
+        if (w.begin <= seen) artifact_->rows_validated_until.store(w.end);
       }
     }
     const Status st = fn(w);
@@ -280,11 +255,11 @@ Status RatingDataset::SweepRowWindows(
 }
 
 Status RatingDataset::ValidateRowsAndIndex() const {
-  // O(nnz) structural checks the eager loaders run at load time and a
-  // mapped dataset defers to first resident use: rows strictly
-  // item-ascending and in range, observation order a permutation.
+  // O(nnz) structural checks a loaded dataset defers to first resident
+  // use: rows strictly item-ascending and in range, observation order a
+  // permutation.
   GANC_RETURN_NOT_OK(ValidateRowRange(0, num_users_));
-  if (mapped_ != nullptr) mapped_->rows_validated_until.store(num_users_);
+  artifact_->rows_validated_until.store(num_users_);
   const size_t nnz = static_cast<size_t>(nnz_);
   if (!order_view_.empty()) {
     std::vector<bool> seen(nnz, false);
@@ -323,16 +298,19 @@ Status RatingDataset::ValidateRowsAndIndex() const {
   return Status::OK();
 }
 
-Status RatingDataset::Materialize() const { return ValidateRowsAndIndex(); }
+bool RatingDataset::IsMapped() const {
+  return artifact_ != nullptr && artifact_->bytes->is_mapping();
+}
 
 Status RatingDataset::EnsureResident() const {
-  if (mapped_ == nullptr) return Status::OK();
-  std::call_once(mapped_->once, [this] { mapped_->status = Materialize(); });
-  return mapped_->status;
+  if (artifact_ == nullptr) return Status::OK();
+  std::call_once(artifact_->once,
+                 [this] { artifact_->status = ValidateRowsAndIndex(); });
+  return artifact_->status;
 }
 
 Status RatingDataset::SaveBinary(std::ostream& os) const {
-  // The observation-order section needs ratings(); a mapped dataset
+  // The observation-order section needs ratings(); a loaded dataset
   // must materialize (and thereby fully validate) before re-saving.
   GANC_RETURN_NOT_OK(EnsureResident());
   ArtifactWriter w(os);
@@ -541,142 +519,15 @@ Status DatasetCacheStreamWriter::Finish() {
   return aw.Finish();
 }
 
-Result<RatingDataset> RatingDataset::LoadBinary(std::istream& is) {
-  ArtifactReader r(is);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  if (!header.ok()) return header.status();
-  GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kDatasetCache, 0));
-
-  Result<ArtifactReader::Section> dims = r.ReadSectionExpect(
-      kCacheDimsSection);
-  if (!dims.ok()) return dims.status();
-  PayloadReader dr(dims->payload());
-  int32_t num_users = 0;
-  int32_t num_items = 0;
-  int64_t num_ratings = 0;
-  GANC_RETURN_NOT_OK(dr.ReadI32(&num_users));
-  GANC_RETURN_NOT_OK(dr.ReadI32(&num_items));
-  GANC_RETURN_NOT_OK(dr.ReadI64(&num_ratings));
-  GANC_RETURN_NOT_OK(dr.ExpectEnd());
-  if (num_users < 0 || num_items < 0 || num_ratings < 0) {
-    return Status::InvalidArgument("negative dimensions in dataset cache");
-  }
-  const size_t nnz = static_cast<size_t>(num_ratings);
-
-  RatingDataset ds;
-  ds.num_users_ = num_users;
-  ds.num_items_ = num_items;
-  ds.nnz_ = num_ratings;
-  std::vector<uint64_t> order;
-  {
-    Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-        kCacheOffsetsSection);
-    if (!s.ok()) return s.status();
-    PayloadReader pr(s->payload());
-    GANC_RETURN_NOT_OK(pr.ReadVecU64(&ds.user_offsets_));
-    GANC_RETURN_NOT_OK(pr.ExpectEnd());
-  }
-  if (header->version >= 3) {
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheRowsSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(ReadRowsVec(&pr, &ds.user_rows_));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheOrderSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecU64(&order));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheFingerprintSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadU64(&ds.fingerprint_));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-  } else {
-    // v2 layout: split item-id and value arrays, mandatory order.
-    std::vector<int32_t> items;
-    std::vector<float> values;
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheItemsSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecI32(&items));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheValuesSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecF32(&values));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    {
-      Result<ArtifactReader::Section> s = r.ReadSectionExpect(
-          kCacheOrderSection);
-      if (!s.ok()) return s.status();
-      PayloadReader pr(s->payload());
-      GANC_RETURN_NOT_OK(pr.ReadVecU64(&order));
-      GANC_RETURN_NOT_OK(pr.ExpectEnd());
-    }
-    if (items.size() != values.size()) {
-      return Status::InvalidArgument("dataset cache section sizes disagree");
-    }
-    ds.user_rows_.resize(items.size());
-    for (size_t p = 0; p < items.size(); ++p) {
-      ds.user_rows_[p] = {items[p], values[p]};
-    }
-    if (order.size() != nnz) {
-      return Status::InvalidArgument("dataset cache section sizes disagree");
-    }
-  }
-  GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
-
-  // Structural validation before touching any index.
-  if (ds.user_rows_.size() != nnz ||
-      (!order.empty() && order.size() != nnz)) {
-    return Status::InvalidArgument("dataset cache section sizes disagree");
-  }
+Result<RatingDataset> RatingDataset::FromArtifact(ArtifactReader& r) {
   GANC_RETURN_NOT_OK(
-      ValidateOffsets(ds.user_offsets_, num_users, num_items, nnz));
-  ds.BindOwnedViews();
-  ds.order_view_ = order;  // local: consumed by the eager build below
-  Status built = ds.ValidateRowsAndIndex();
-  ds.order_view_ = {};
-  GANC_RETURN_NOT_OK(built);
-  return ds;
-}
-
-Result<RatingDataset> RatingDataset::LoadBinaryFile(const std::string& path) {
-  return ReadArtifactFile(
-      path, [](std::istream& is) { return LoadBinary(is); });
-}
-
-Result<RatingDataset> RatingDataset::LoadMappedFile(const std::string& path) {
-  Result<std::shared_ptr<const MappedArtifact>> mapped =
-      OpenMappedArtifact(path);
-  if (!mapped.ok()) return mapped.status();
-  ArtifactReader r(*mapped);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  if (!header.ok()) return header.status();
-  GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kDatasetCache, 0));
-
+      ExpectArtifact(r.header(), ArtifactKind::kDatasetCache, 0));
   RatingDataset ds;
   {
     Result<ArtifactReader::Section> s = r.ReadSectionExpect(
         kCacheDimsSection);
     if (!s.ok()) return s.status();
-    PayloadReader pr(s->payload());
+    PayloadReader pr(s->payload);
     int64_t num_ratings = 0;
     GANC_RETURN_NOT_OK(pr.ReadI32(&ds.num_users_));
     GANC_RETURN_NOT_OK(pr.ReadI32(&ds.num_items_));
@@ -688,26 +539,26 @@ Result<RatingDataset> RatingDataset::LoadMappedFile(const std::string& path) {
     ds.nnz_ = num_ratings;
   }
   {
-    Result<ArtifactReader::Section> s = r.ReadSectionExpect(
+    Result<ArtifactReader::Section> s = r.BorrowSectionExpect(
         kCacheOffsetsSection);
     if (!s.ok()) return s.status();
-    PayloadReader pr(s->payload());
+    PayloadReader pr(s->payload);
     GANC_RETURN_NOT_OK(pr.BorrowVec(&ds.user_offsets_view_));
     GANC_RETURN_NOT_OK(pr.ExpectEnd());
   }
   {
-    Result<ArtifactReader::Section> s = r.ReadSectionExpect(
+    Result<ArtifactReader::Section> s = r.BorrowSectionExpect(
         kCacheRowsSection);
     if (!s.ok()) return s.status();
-    PayloadReader pr(s->payload());
+    PayloadReader pr(s->payload);
     GANC_RETURN_NOT_OK(pr.BorrowVec(&ds.rows_view_));
     GANC_RETURN_NOT_OK(pr.ExpectEnd());
   }
   {
-    Result<ArtifactReader::Section> s = r.ReadSectionExpect(
+    Result<ArtifactReader::Section> s = r.BorrowSectionExpect(
         kCacheOrderSection);
     if (!s.ok()) return s.status();
-    PayloadReader pr(s->payload());
+    PayloadReader pr(s->payload);
     GANC_RETURN_NOT_OK(pr.BorrowVec(&ds.order_view_));
     GANC_RETURN_NOT_OK(pr.ExpectEnd());
   }
@@ -715,16 +566,16 @@ Result<RatingDataset> RatingDataset::LoadMappedFile(const std::string& path) {
     Result<ArtifactReader::Section> s = r.ReadSectionExpect(
         kCacheFingerprintSection);
     if (!s.ok()) return s.status();
-    PayloadReader pr(s->payload());
+    PayloadReader pr(s->payload);
     GANC_RETURN_NOT_OK(pr.ReadU64(&ds.fingerprint_));
     GANC_RETURN_NOT_OK(pr.ExpectEnd());
   }
   GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
 
   // Cold-load validation is O(users): section sizes and the offset
-  // table. Row contents are validated by EnsureResident() before any
-  // consumer indexes by item id; until then rows are only read as
-  // bounded spans.
+  // table. Row contents are validated by EnsureResident() (or the first
+  // row sweep) before any consumer indexes by item id; until then rows
+  // are only read as bounded spans.
   const uint64_t nnz = static_cast<uint64_t>(ds.nnz_);
   if (ds.rows_view_.size() != nnz ||
       (!ds.order_view_.empty() && ds.order_view_.size() != nnz)) {
@@ -732,18 +583,28 @@ Result<RatingDataset> RatingDataset::LoadMappedFile(const std::string& path) {
   }
   GANC_RETURN_NOT_OK(ValidateOffsets(ds.user_offsets_view_, ds.num_users_,
                                      ds.num_items_, nnz));
-  ds.mapped_ = std::make_unique<MappedState>();
-  ds.mapped_->artifact = std::move(*mapped);
+  ds.artifact_ = std::make_unique<ArtifactState>();
+  ds.artifact_->bytes = r.bytes();
   return ds;
+}
+
+Result<RatingDataset> RatingDataset::LoadFile(const std::string& path) {
+  Result<ArtifactReader> r = ArtifactReader::OpenFile(path);
+  if (!r.ok()) return r.status();
+  return FromArtifact(*r);
+}
+
+Result<RatingDataset> RatingDataset::LoadBinary(std::istream& is) {
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  if (!r.ok()) return r.status();
+  return FromArtifact(*r);
 }
 
 Result<RatingDataset> RatingDataset::LoadFileAuto(const std::string& path,
                                                   bool prefer_mmap) {
-  if (prefer_mmap) {
-    Result<RatingDataset> mapped = LoadMappedFile(path);
-    if (mapped.ok() || !IsMmapFallback(mapped.status())) return mapped;
-  }
-  return LoadBinaryFile(path);
+  Result<RatingDataset> ds = LoadFile(path);
+  if (ds.ok() && !prefer_mmap) GANC_RETURN_NOT_OK(ds->EnsureResident());
+  return ds;
 }
 
 RatingDatasetBuilder::RatingDatasetBuilder(int32_t num_users,

@@ -9,22 +9,22 @@
 //
 // Storage is flat CSR (row offsets + one contiguous (item, value)
 // array), exposed through spans. The spans either view owned vectors
-// (builder / stream loads: everything materialized and fully validated
-// up front) or borrow straight out of a memory-mapped v3 dataset cache
-// (LoadMappedFile): cold-start then touches O(users) bytes — dims,
-// offsets, fingerprint — and user rows page in on demand. The CSC item
-// index and the insertion-order ratings() vector are derived data; in
-// mapped mode they are materialized lazily by EnsureResident(), which
-// also performs the O(nnz) row validation that the eager loaders do at
-// load time.
+// (the builder: everything materialized and validated up front) or
+// borrow straight out of a loaded dataset cache's bytes (LoadFile maps
+// the file; LoadBinary buffers a stream): cold-start then touches
+// O(users) bytes — dims, offsets, fingerprint — and user rows page in
+// on demand. The CSC item index and the insertion-order ratings()
+// vector are derived data; a loaded dataset materializes them lazily
+// in EnsureResident(), which also performs the O(nnz) row validation.
 //
 // Most consumers never need residency: every Fit, the row-oriented
 // accessors (ItemsOf/Activity/HasRating/GetRating/UnratedItems*),
 // GlobalMeanRating, PopularityVector, Fingerprint, and the chunked
-// SweepRowWindows iterator all work straight off the mapped rows. Only
-// the APIs documented "Requires residency" below — ratings(), UsersOf,
-// Popularity, and the ratio splitters built on them — go through
-// EnsureResident() first; the store-backed serving path never does.
+// SweepRowWindows iterator all work straight off the borrowed rows.
+// Only the APIs documented "Requires residency" below — ratings(),
+// UsersOf, Popularity, and the ratio splitters built on them — go
+// through EnsureResident() first; the store-backed serving path never
+// does.
 //
 // Out-of-core training sweeps rows in budgeted windows: PlanRowWindows
 // partitions the user range so each window's row payload fits a byte
@@ -52,7 +52,7 @@
 
 namespace ganc {
 
-class MappedArtifact;
+class ArtifactReader;
 
 using UserId = int32_t;
 using ItemId = int32_t;
@@ -65,7 +65,7 @@ struct Rating {
 };
 
 /// An (item, rating) pair inside one user's profile. The in-memory
-/// layout doubles as the v3 wire layout of the dataset-cache rows
+/// layout doubles as the wire layout of the dataset-cache rows
 /// section on little-endian hosts (see docs/FORMATS.md).
 struct ItemRating {
   ItemId item = 0;
@@ -89,7 +89,7 @@ struct RowWindow {
 /// Immutable sparse rating matrix with CSR-style per-user and CSC-style
 /// per-item views. Construct through RatingDatasetBuilder or the binary
 /// cache loaders. Move-only: the CSR spans alias either owned heap
-/// buffers (which transfer on move) or a shared file mapping.
+/// buffers (which transfer on move) or shared artifact bytes.
 class RatingDataset {
  public:
   RatingDataset();
@@ -106,7 +106,7 @@ class RatingDataset {
   /// Fraction of the full matrix that is observed, in [0,1].
   double Density() const;
 
-  /// All observations in insertion order. Requires residency (mapped
+  /// All observations in insertion order. Requires residency (loaded
   /// datasets: EnsureResident() first).
   const std::vector<Rating>& ratings() const { return ratings_; }
 
@@ -134,7 +134,7 @@ class RatingDataset {
   }
 
   /// Popularity of every item as a dense vector indexed by item id.
-  /// Computed by a budgeted row sweep: works on mapped datasets without
+  /// Computed by a budgeted row sweep: works on loaded datasets without
   /// residency, and counts are exact integers either way.
   std::vector<double> PopularityVector() const;
 
@@ -160,7 +160,7 @@ class RatingDataset {
   Result<float> GetRating(UserId u, ItemId i) const;
 
   /// Mean of all rating values; 0 for an empty dataset. Computed by a
-  /// budgeted row sweep in CSR (user-major) order, so mapped datasets
+  /// budgeted row sweep in CSR (user-major) order, so loaded datasets
   /// need no residency and the result is independent of the budget.
   double GlobalMeanRating() const;
 
@@ -173,22 +173,22 @@ class RatingDataset {
   /// generation).
   void UnratedItemsInto(UserId u, std::vector<ItemId>* out) const;
 
-  /// For a mapped dataset: validates every row (strictly item-ascending,
-  /// ids in range — the checks the eager loaders run up front) and
+  /// For a loaded dataset: validates every row (strictly
+  /// item-ascending, ids in range, observation order a permutation) and
   /// materializes the CSC item index and ratings() order, exactly once.
   /// Returns the cached validation error on corrupt row data. No-op
-  /// (always OK) for eagerly loaded datasets. Thread-safe.
+  /// (always OK) for built datasets. Thread-safe.
   Status EnsureResident() const;
 
   /// True when the CSR rows are borrowed from a file mapping.
-  bool IsMapped() const { return mapped_ != nullptr; }
+  bool IsMapped() const;
 
   /// True when the derived in-core structures (ratings(), the CSC item
-  /// index) exist: always for eagerly loaded datasets, and only after
-  /// EnsureResident() for mapped ones. Regression tests use this to
+  /// index) exist: always for built datasets, and only after
+  /// EnsureResident() for loaded ones. Regression tests use this to
   /// assert that out-of-core paths never materialize the full matrix.
   bool ResidencyMaterialized() const {
-    return mapped_ == nullptr || !item_offsets_.empty();
+    return artifact_ == nullptr || !item_offsets_.empty();
   }
 
   /// Advisory residency budget (bytes of row payload) for trainers that
@@ -208,11 +208,11 @@ class RatingDataset {
                                         int32_t align_users = 1) const;
 
   /// Runs `fn` over each planned window in ascending user order. For a
-  /// mapped dataset this validates the window's rows on first touch
+  /// loaded dataset this validates the window's rows on first touch
   /// (the same strictly-ascending/in-range checks EnsureResident runs)
-  /// and releases the window's mapped pages after `fn` returns, so the
-  /// sweep's resident footprint stays near the budget. Stops at the
-  /// first non-OK status. Eagerly loaded datasets just iterate.
+  /// and, for a file mapping, releases the window's pages after `fn`
+  /// returns, so the sweep's resident footprint stays near the budget.
+  /// Stops at the first non-OK status. Built datasets just iterate.
   Status SweepRowWindows(
       int64_t budget_bytes, int32_t align_users,
       const std::function<Status(const RowWindow&)>& fn) const;
@@ -221,33 +221,31 @@ class RatingDataset {
   /// per-user row offsets, one contiguous (item id, value) rows array,
   /// the original observation order, and the content fingerprint,
   /// checksummed per section. Written once after the text loader;
-  /// LoadBinary then skips parsing, id remapping, sorting, and
-  /// validation on every subsequent run.
+  /// LoadFile then skips parsing, id remapping, and sorting on every
+  /// subsequent run.
   Status SaveBinary(std::ostream& os) const;
 
   /// SaveBinary to a file path (overwrites).
   Status SaveBinaryFile(const std::string& path) const;
 
-  /// Restores a dataset written by SaveBinary (v3) or by an older v2
-  /// writer. The result is exactly the saved dataset: same dimensions,
-  /// same ratings() order, same per-user and per-item indexes — so
-  /// anything downstream (splits, SGD epoch order, scoring) is
-  /// bit-identical to running from the text source. Fails on bad magic,
-  /// version or checksum mismatch, truncation, or inconsistent CSR
-  /// structure.
+  /// Opens a dataset cache written by SaveBinary as a zero-copy view
+  /// over a file mapping: O(users) validation and resident memory, rows
+  /// paged in on use. The result is exactly the saved dataset: same
+  /// dimensions, same ratings() order, same per-user and per-item
+  /// indexes — so anything downstream (splits, SGD epoch order,
+  /// scoring) is bit-identical to running from the text source. Fails
+  /// on bad magic, version or checksum mismatch, truncation, or
+  /// inconsistent offsets; corrupt row contents fail EnsureResident()
+  /// or the first row sweep.
+  static Result<RatingDataset> LoadFile(const std::string& path);
+
+  /// LoadFile over a stream positioned at the cache's first byte: the
+  /// artifact is buffered in memory and the dataset borrows from that.
   static Result<RatingDataset> LoadBinary(std::istream& is);
 
-  /// LoadBinary from a file path.
-  static Result<RatingDataset> LoadBinaryFile(const std::string& path);
-
-  /// Opens a v3 dataset cache as a zero-copy view over a file mapping:
-  /// O(users) validation and resident memory, rows paged in on use.
-  /// Returns kFailedPrecondition for pre-v3 caches and kNotImplemented
-  /// without platform mmap (both mean "use LoadBinaryFile").
-  static Result<RatingDataset> LoadMappedFile(const std::string& path);
-
-  /// LoadMappedFile when possible, transparent fallback to the stream
-  /// loader otherwise (or always, when `prefer_mmap` is false).
+  /// Exists only for bench/e2e, which calls it; delete it once that
+  /// harness calls LoadFile. `prefer_mmap = false` also runs
+  /// EnsureResident(), which the harness times as setup.
   static Result<RatingDataset> LoadFileAuto(const std::string& path,
                                             bool prefer_mmap);
 
@@ -257,20 +255,21 @@ class RatingDataset {
   /// store it and refuse rebinding to different data — e.g. the same
   /// corpus split with a different seed. Insensitive to observation
   /// order (two datasets with equal indexes fingerprint equally). For
-  /// datasets loaded from a v3 cache this returns the stored
-  /// fingerprint without touching the rows.
+  /// datasets loaded from a cache this returns the stored fingerprint
+  /// without touching the rows.
   uint64_t Fingerprint() const;
 
  private:
   friend class RatingDatasetBuilder;
 
-  struct MappedState;
+  struct ArtifactState;
 
-  /// Points the views at the owned vectors (eager modes).
+  /// The one cache loader, over either kind of artifact bytes.
+  static Result<RatingDataset> FromArtifact(ArtifactReader& r);
+  /// Points the views at the owned vectors (built datasets).
   void BindOwnedViews();
-  /// Shared O(nnz) structural checks + CSC/ratings build.
+  /// EnsureResident's O(nnz) structural checks + CSC/ratings build.
   Status ValidateRowsAndIndex() const;
-  Status Materialize() const;
   /// Row checks (in range, strictly item-ascending) for users in
   /// [begin, end) — the per-window slice of ValidateRowsAndIndex's
   /// validation pass.
@@ -282,28 +281,29 @@ class RatingDataset {
   /// Advisory trainer residency budget; not part of the dataset value
   /// (ignored by Save/Fingerprint/comparisons).
   int64_t train_budget_bytes_ = 0;
-  /// Stored fingerprint from a v3 cache; 0 = compute on demand.
+  /// Stored fingerprint from a loaded cache; 0 = compute on demand.
   uint64_t fingerprint_ = 0;
 
-  // Owned CSR storage (empty when the views borrow from a mapping).
+  // Owned CSR storage (empty when the views borrow artifact bytes).
   std::vector<uint64_t> user_offsets_;
   std::vector<ItemRating> user_rows_;
-  // Derived data: owned, lazily materialized in mapped mode (mutable is
+  // Derived data: owned, lazily materialized when loaded (mutable is
   // confined to the EnsureResident() critical section).
   mutable std::vector<Rating> ratings_;
   mutable std::vector<uint64_t> item_offsets_;
   mutable std::vector<UserRating> item_cols_;
 
-  // CSR views: into the owned vectors or into the mapping.
+  // CSR views: into the owned vectors or into the artifact bytes.
   std::span<const uint64_t> user_offsets_view_;
   std::span<const ItemRating> rows_view_;
-  // Mapped only: CSR-position -> ratings() index (empty = identity).
+  // Loaded only: CSR-position -> ratings() index (empty = identity).
   std::span<const uint64_t> order_view_;
 
-  std::unique_ptr<MappedState> mapped_;
+  // Null for built datasets.
+  std::unique_ptr<ArtifactState> artifact_;
 };
 
-/// Streams a v3 dataset cache to disk one user row at a time, without
+/// Streams a dataset cache to disk one user row at a time, without
 /// ever materializing a RatingDataset — the O(users)-memory path the
 /// 1M-user synthetic scale generator writes through. Usage:
 ///

@@ -99,10 +99,7 @@ Result<RatingDataset> LoadDatasetFromFlags(const Flags& flags) {
           "--dataset-cache conflicts with --ratings-file/--dataset (pick one "
           "data source)");
     }
-    // --mmap (default on) opens v3 caches as zero-copy file mappings;
-    // pre-v3 caches and mmap-less platforms fall back to the stream
-    // loader transparently.
-    return RatingDataset::LoadFileAuto(cache, flags.GetBool("mmap", true));
+    return RatingDataset::LoadFile(cache);
   }
   const std::string file = flags.GetString("ratings-file", "");
   if (!file.empty()) {

@@ -61,10 +61,9 @@ Status SaveRatingsFile(const RatingDataset& dataset, const std::string& path,
 /// One implementation so a serving process can never resolve the same
 /// flags to different data than the training run did.
 ///
-/// --mmap=true|false (default true) controls whether a v3
-/// --dataset-cache is opened as a zero-copy file mapping (rows resident
-/// on demand) or stream-loaded eagerly; it has no effect on the other
-/// sources. Callers that score immediately should EnsureResident().
+/// A --dataset-cache is opened as a zero-copy file mapping (rows
+/// resident on demand). Callers that score immediately should
+/// EnsureResident().
 Result<RatingDataset> LoadDatasetFromFlags(const Flags& flags);
 
 }  // namespace ganc

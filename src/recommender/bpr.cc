@@ -262,7 +262,7 @@ Status BprRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> config = r.ReadSectionExpect(
       kModelConfigSection);
   if (!config.ok()) return config.status();
-  PayloadReader cr(config->payload());
+  PayloadReader cr(config->payload);
   BprConfig cfg;
   GANC_RETURN_NOT_OK(cr.ReadI32(&cfg.num_factors));
   GANC_RETURN_NOT_OK(cr.ReadF64(&cfg.learning_rate));
@@ -277,7 +277,7 @@ Status BprRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> state = r.ReadSectionExpect(
       kModelStateSection);
   if (!state.ok()) return state.status();
-  PayloadReader sr(state->payload());
+  PayloadReader sr(state->payload);
   int32_t num_users = 0;
   int32_t num_items = 0;
   uint64_t fingerprint = 0;
@@ -287,11 +287,11 @@ Status BprRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   GANC_RETURN_NOT_OK(sr.ReadU64(&fingerprint));
   GANC_RETURN_NOT_OK(sr.ReadVecF64(&bi));
   GANC_RETURN_NOT_OK(sr.ExpectEnd());
-  Result<ArtifactReader::Section> factors = r.ReadSectionExpect(
+  Result<ArtifactReader::Section> factors = r.BorrowSectionExpect(
       kFactorTableSection);
   if (!factors.ok()) return factors.status();
   FactorStore store;
-  GANC_RETURN_NOT_OK(store.LoadFromSection(r, *factors));
+  GANC_RETURN_NOT_OK(store.Load(r, *factors));
   const size_t g = static_cast<size_t>(cfg.num_factors);
   if (num_users < 0 || num_items < 0 || store.num_factors() != g ||
       store.user_rows() != static_cast<size_t>(num_users) ||

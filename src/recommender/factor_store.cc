@@ -16,8 +16,8 @@ constexpr double kQuantSteps = 254.0;
 constexpr int32_t kQuantMax = 127;
 
 // Every table inside the factor section is preceded by this alignment
-// (v3 only; the scalar header is 25 bytes, so padding is required for
-// the first table and harmless for the rest).
+// (the scalar header is 25 bytes, so padding is required for the first
+// table and harmless for the rest).
 constexpr size_t kTableAlign = 8;
 
 std::vector<float> NarrowToF32(std::span<const double> src) {
@@ -118,7 +118,7 @@ Status FactorStore::SetPrecision(FactorPrecision p) {
   item_f64_.clear();
   item_f64_.shrink_to_fit();
   precision_ = p;
-  RebindViews();  // drops the mapping reference, if any
+  RebindViews();  // drops the artifact reference, if any
   return Status::OK();
 }
 
@@ -225,34 +225,8 @@ Status FactorStore::ReadScalarHeader(PayloadReader* r) {
   return Status::OK();
 }
 
-Status FactorStore::LoadQuantizedOwned(PayloadReader* r, bool aligned,
-                                       QuantizedRows* out, size_t rows,
-                                       const char* side) const {
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecI8(&out->q));
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecF32(&out->scale));
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecF32(&out->center));
-  if (aligned) GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-  GANC_RETURN_NOT_OK(r->ReadVecI32(&out->qsum));
-  if (out->q.size() != rows * num_factors_) {
-    return Status::InvalidArgument(
-        std::string("factor table section: ") + side +
-        " int8 code table has wrong length");
-  }
-  if (out->scale.size() != rows || out->center.size() != rows ||
-      out->qsum.size() != rows) {
-    return Status::InvalidArgument(
-        std::string("factor table section: ") + side +
-        " quantization side tables (scale/center/qsum) have wrong length");
-  }
-  return Status::OK();
-}
-
-Status FactorStore::LoadQuantizedBorrowed(PayloadReader* r,
-                                          QuantizedRowsView* out, size_t rows,
-                                          const char* side) const {
+Status FactorStore::LoadQuantized(PayloadReader* r, QuantizedRowsView* out,
+                                  size_t rows, const char* side) const {
   GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
   GANC_RETURN_NOT_OK(r->BorrowVec(&out->q));
   GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
@@ -275,51 +249,17 @@ Status FactorStore::LoadQuantizedBorrowed(PayloadReader* r,
   return Status::OK();
 }
 
-Status FactorStore::LoadOwned(PayloadReader* r, bool aligned) {
-  auto skip = [&]() -> Status {
-    return aligned ? r->SkipAlign(kTableAlign) : Status::OK();
-  };
+Status FactorStore::Load(const ArtifactReader& r,
+                         const ArtifactReader::Section& sec) {
+  Clear();
+  PayloadReader pr(sec.payload);
+  GANC_RETURN_NOT_OK(ReadScalarHeader(&pr));
   switch (precision_) {
     case FactorPrecision::kFp64:
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF64(&user_f64_));
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF64(&item_f64_));
-      if (user_f64_.size() != user_rows_ * num_factors_ ||
-          item_f64_.size() != item_rows_ * num_factors_) {
-        return Status::InvalidArgument(
-            "factor table section: fp64 tables have wrong length");
-      }
-      break;
-    case FactorPrecision::kFp32:
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF32(&user_f32_));
-      GANC_RETURN_NOT_OK(skip());
-      GANC_RETURN_NOT_OK(r->ReadVecF32(&item_f32_));
-      if (user_f32_.size() != user_rows_ * num_factors_ ||
-          item_f32_.size() != item_rows_ * num_factors_) {
-        return Status::InvalidArgument(
-            "factor table section: fp32 tables have wrong length");
-      }
-      break;
-    case FactorPrecision::kInt8:
-      GANC_RETURN_NOT_OK(
-          LoadQuantizedOwned(r, aligned, &user_q_, user_rows_, "user"));
-      GANC_RETURN_NOT_OK(
-          LoadQuantizedOwned(r, aligned, &item_q_, item_rows_, "item"));
-      break;
-  }
-  RebindViews();
-  return Status::OK();
-}
-
-Status FactorStore::LoadBorrowed(PayloadReader* r) {
-  switch (precision_) {
-    case FactorPrecision::kFp64:
-      GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-      GANC_RETURN_NOT_OK(r->BorrowVec(&user_f64_view_));
-      GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-      GANC_RETURN_NOT_OK(r->BorrowVec(&item_f64_view_));
+      GANC_RETURN_NOT_OK(pr.SkipAlign(kTableAlign));
+      GANC_RETURN_NOT_OK(pr.BorrowVec(&user_f64_view_));
+      GANC_RETURN_NOT_OK(pr.SkipAlign(kTableAlign));
+      GANC_RETURN_NOT_OK(pr.BorrowVec(&item_f64_view_));
       if (user_f64_view_.size() != user_rows_ * num_factors_ ||
           item_f64_view_.size() != item_rows_ * num_factors_) {
         return Status::InvalidArgument(
@@ -327,10 +267,10 @@ Status FactorStore::LoadBorrowed(PayloadReader* r) {
       }
       break;
     case FactorPrecision::kFp32:
-      GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-      GANC_RETURN_NOT_OK(r->BorrowVec(&user_f32_view_));
-      GANC_RETURN_NOT_OK(r->SkipAlign(kTableAlign));
-      GANC_RETURN_NOT_OK(r->BorrowVec(&item_f32_view_));
+      GANC_RETURN_NOT_OK(pr.SkipAlign(kTableAlign));
+      GANC_RETURN_NOT_OK(pr.BorrowVec(&user_f32_view_));
+      GANC_RETURN_NOT_OK(pr.SkipAlign(kTableAlign));
+      GANC_RETURN_NOT_OK(pr.BorrowVec(&item_f32_view_));
       if (user_f32_view_.size() != user_rows_ * num_factors_ ||
           item_f32_view_.size() != item_rows_ * num_factors_) {
         return Status::InvalidArgument(
@@ -338,35 +278,13 @@ Status FactorStore::LoadBorrowed(PayloadReader* r) {
       }
       break;
     case FactorPrecision::kInt8:
-      GANC_RETURN_NOT_OK(
-          LoadQuantizedBorrowed(r, &user_qv_, user_rows_, "user"));
-      GANC_RETURN_NOT_OK(
-          LoadQuantizedBorrowed(r, &item_qv_, item_rows_, "item"));
+      GANC_RETURN_NOT_OK(LoadQuantized(&pr, &user_qv_, user_rows_, "user"));
+      GANC_RETURN_NOT_OK(LoadQuantized(&pr, &item_qv_, item_rows_, "item"));
       break;
   }
+  GANC_RETURN_NOT_OK(pr.ExpectEnd());
+  keepalive_ = r.bytes();
   return Status::OK();
-}
-
-Status FactorStore::Load(PayloadReader* r, bool aligned) {
-  Clear();
-  GANC_RETURN_NOT_OK(ReadScalarHeader(r));
-  return LoadOwned(r, aligned);
-}
-
-Status FactorStore::LoadFromSection(ArtifactReader& r,
-                                    const ArtifactReader::Section& sec) {
-  Clear();
-  Result<ArtifactHeader> header = r.Header();
-  if (!header.ok()) return header.status();
-  PayloadReader pr(sec.payload());
-  if (sec.is_mapped) {
-    GANC_RETURN_NOT_OK(ReadScalarHeader(&pr));
-    GANC_RETURN_NOT_OK(LoadBorrowed(&pr));
-    keepalive_ = r.mapped_artifact();
-  } else {
-    GANC_RETURN_NOT_OK(Load(&pr, header->version >= 3));
-  }
-  return pr.ExpectEnd();
 }
 
 void FactorStore::Clear() {

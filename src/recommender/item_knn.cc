@@ -92,7 +92,7 @@ Status ItemKnnRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> config = r.ReadSectionExpect(
       kModelConfigSection);
   if (!config.ok()) return config.status();
-  PayloadReader cr(config->payload());
+  PayloadReader cr(config->payload);
   ItemKnnConfig cfg;
   GANC_RETURN_NOT_OK(cr.ReadI32(&cfg.num_neighbors));
   GANC_RETURN_NOT_OK(cr.ReadI32(&cfg.max_profile));
@@ -101,7 +101,7 @@ Status ItemKnnRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> state = r.ReadSectionExpect(
       kModelStateSection);
   if (!state.ok()) return state.status();
-  PayloadReader sr(state->payload());
+  PayloadReader sr(state->payload);
   int32_t num_items = 0;
   int32_t num_users = 0;
   uint64_t fingerprint = 0;

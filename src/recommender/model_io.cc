@@ -12,12 +12,8 @@
 
 namespace ganc {
 
-Status ReadModelHeader(ArtifactReader& r, ModelType type) {
-  // Header(), not ReadHeader(): the factory has already consumed the
-  // header bytes to learn the type, so the cached copy must be reused.
-  Result<ArtifactHeader> header = r.Header();
-  if (!header.ok()) return header.status();
-  return ExpectArtifact(*header, ArtifactKind::kModel,
+Status ReadModelHeader(const ArtifactReader& r, ModelType type) {
+  return ExpectArtifact(r.header(), ArtifactKind::kModel,
                         static_cast<uint32_t>(type));
 }
 
@@ -28,17 +24,15 @@ Status SaveModelFile(const Recommender& model, const std::string& path) {
 
 Result<std::unique_ptr<Recommender>> LoadModel(ArtifactReader& r,
                                                const RatingDataset* train) {
-  // Read the header to learn the concrete type; the model's Load picks
-  // up from the cached header (via ReadModelHeader) — no rewind, so
-  // unseekable streams and mapped artifacts both work.
-  Result<ArtifactHeader> header = r.Header();
-  if (!header.ok()) return header.status();
-  if (header->kind != static_cast<uint32_t>(ArtifactKind::kModel)) {
+  // The header names the concrete type; the model's Load then reads the
+  // sections that follow.
+  const ArtifactHeader& header = r.header();
+  if (header.kind != static_cast<uint32_t>(ArtifactKind::kModel)) {
     return Status::InvalidArgument("artifact is not a model (kind " +
-                                   std::to_string(header->kind) + ")");
+                                   std::to_string(header.kind) + ")");
   }
   std::unique_ptr<Recommender> model;
-  switch (static_cast<ModelType>(header->type_tag)) {
+  switch (static_cast<ModelType>(header.type_tag)) {
     case ModelType::kPop:
       model = std::make_unique<PopRecommender>();
       break;
@@ -69,7 +63,7 @@ Result<std::unique_ptr<Recommender>> LoadModel(ArtifactReader& r,
   }
   if (model == nullptr) {
     return Status::InvalidArgument("unknown model type tag " +
-                                   std::to_string(header->type_tag));
+                                   std::to_string(header.type_tag));
   }
   GANC_RETURN_NOT_OK(model->Load(r, train));
   return model;
@@ -77,33 +71,16 @@ Result<std::unique_ptr<Recommender>> LoadModel(ArtifactReader& r,
 
 Result<std::unique_ptr<Recommender>> LoadModel(std::istream& is,
                                                const RatingDataset* train) {
-  ArtifactReader r(is);
-  return LoadModel(r, train);
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  if (!r.ok()) return r.status();
+  return LoadModel(*r, train);
 }
 
 Result<std::unique_ptr<Recommender>> LoadModelFile(const std::string& path,
                                                    const RatingDataset* train) {
-  return ReadArtifactFile(
-      path, [&](std::istream& is) { return LoadModel(is, train); });
-}
-
-Result<std::unique_ptr<Recommender>> LoadModelFileMapped(
-    const std::string& path, const RatingDataset* train) {
-  Result<std::shared_ptr<const MappedArtifact>> mapped =
-      OpenMappedArtifact(path);
-  if (!mapped.ok()) return mapped.status();
-  ArtifactReader r(std::move(*mapped));
-  return LoadModel(r, train);
-}
-
-Result<std::unique_ptr<Recommender>> LoadModelFileAuto(
-    const std::string& path, bool prefer_mmap, const RatingDataset* train) {
-  if (prefer_mmap) {
-    Result<std::unique_ptr<Recommender>> mapped =
-        LoadModelFileMapped(path, train);
-    if (mapped.ok() || !IsMmapFallback(mapped.status())) return mapped;
-  }
-  return LoadModelFile(path, train);
+  Result<ArtifactReader> r = ArtifactReader::OpenFile(path);
+  if (!r.ok()) return r.status();
+  return LoadModel(*r, train);
 }
 
 }  // namespace ganc

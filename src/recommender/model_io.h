@@ -43,41 +43,30 @@ inline constexpr uint32_t kModelConfigSection = 1;
 inline constexpr uint32_t kModelStateSection = 2;
 inline constexpr uint32_t kFactorTableSection = 3;
 
-/// Reads the artifact header from `r` and validates kind/type. The
-/// shared prologue of every Recommender::Load implementation.
-Status ReadModelHeader(ArtifactReader& r, ModelType type);
+/// Validates the kind/type in `r`'s header. The shared prologue of
+/// every Recommender::Load implementation.
+Status ReadModelHeader(const ArtifactReader& r, ModelType type);
 
 /// Saves a fitted model to `path` (overwrites).
 Status SaveModelFile(const Recommender& model, const std::string& path);
 
 /// Reads the model type tag from the artifact header, constructs the
 /// matching recommender (with default hyper-parameters, which Load then
-/// overwrites from the artifact), and loads it through the same reader
-/// — no rewind, so unseekable streams and mapped artifacts both work.
-/// `train` rebinds the dataset-backed models; self-contained models
-/// ignore it. The reader is left positioned after the end marker.
+/// overwrites from the artifact), and loads it from the same reader.
+/// The latent-factor models borrow their factor tables zero-copy from
+/// the reader's bytes. `train` rebinds the dataset-backed models;
+/// self-contained models ignore it.
 Result<std::unique_ptr<Recommender>> LoadModel(ArtifactReader& r,
                                                const RatingDataset* train);
 
-/// LoadModel over a stream positioned at the artifact's first byte.
+/// LoadModel over a stream positioned at the artifact's first byte: the
+/// artifact is buffered in memory, and the stream is left just past it.
 Result<std::unique_ptr<Recommender>> LoadModel(std::istream& is,
                                                const RatingDataset* train);
 
-/// LoadModel over a file path (stream backend).
+/// LoadModel over a file mapping of `path`.
 Result<std::unique_ptr<Recommender>> LoadModelFile(const std::string& path,
                                                    const RatingDataset* train);
-
-/// LoadModel over a memory-mapped v3 artifact: the latent-factor models
-/// borrow their factor tables zero-copy from the mapping. Returns
-/// kFailedPrecondition for pre-v3 artifacts and kNotImplemented without
-/// platform mmap (both mean "use LoadModelFile").
-Result<std::unique_ptr<Recommender>> LoadModelFileMapped(
-    const std::string& path, const RatingDataset* train);
-
-/// LoadModelFileMapped when possible, transparent fallback to the
-/// stream loader otherwise (or always, when `prefer_mmap` is false).
-Result<std::unique_ptr<Recommender>> LoadModelFileAuto(
-    const std::string& path, bool prefer_mmap, const RatingDataset* train);
 
 }  // namespace ganc
 

@@ -40,12 +40,12 @@ Status PopRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> config = r.ReadSectionExpect(
       kModelConfigSection);
   if (!config.ok()) return config.status();
-  PayloadReader cr(config->payload());
+  PayloadReader cr(config->payload);
   GANC_RETURN_NOT_OK(cr.ExpectEnd());
   Result<ArtifactReader::Section> state = r.ReadSectionExpect(
       kModelStateSection);
   if (!state.ok()) return state.status();
-  PayloadReader pr(state->payload());
+  PayloadReader pr(state->payload);
   uint64_t fingerprint = 0;
   std::vector<double> popularity;
   GANC_RETURN_NOT_OK(pr.ReadU64(&fingerprint));

@@ -40,14 +40,14 @@ Status RandomRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> config = r.ReadSectionExpect(
       kModelConfigSection);
   if (!config.ok()) return config.status();
-  PayloadReader cr(config->payload());
+  PayloadReader cr(config->payload);
   uint64_t seed = 0;
   GANC_RETURN_NOT_OK(cr.ReadU64(&seed));
   GANC_RETURN_NOT_OK(cr.ExpectEnd());
   Result<ArtifactReader::Section> state = r.ReadSectionExpect(
       kModelStateSection);
   if (!state.ok()) return state.status();
-  PayloadReader sr(state->payload());
+  PayloadReader sr(state->payload);
   int32_t num_items = 0;
   uint64_t fingerprint = 0;
   GANC_RETURN_NOT_OK(sr.ReadI32(&num_items));

@@ -189,7 +189,7 @@ Status RandomWalkRecommender::Load(ArtifactReader& r,
   Result<ArtifactReader::Section> config = r.ReadSectionExpect(
       kModelConfigSection);
   if (!config.ok()) return config.status();
-  PayloadReader cr(config->payload());
+  PayloadReader cr(config->payload);
   RandomWalkConfig cfg;
   GANC_RETURN_NOT_OK(cr.ReadF64(&cfg.beta));
   GANC_RETURN_NOT_OK(cr.ReadI32(&cfg.max_coraters));
@@ -200,7 +200,7 @@ Status RandomWalkRecommender::Load(ArtifactReader& r,
   Result<ArtifactReader::Section> state = r.ReadSectionExpect(
       kModelStateSection);
   if (!state.ok()) return state.status();
-  PayloadReader sr(state->payload());
+  PayloadReader sr(state->payload);
   int32_t num_users = 0;
   uint64_t fingerprint = 0;
   std::vector<double> penalty;

@@ -27,8 +27,9 @@ Status Recommender::Save(std::ostream& /*os*/) const {
 }
 
 Status Recommender::Load(std::istream& is, const RatingDataset* train) {
-  ArtifactReader r(is);
-  return Load(r, train);
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  if (!r.ok()) return r.status();
+  return Load(*r, train);
 }
 
 Status Recommender::Load(ArtifactReader& /*r*/,

@@ -145,12 +145,11 @@ class Recommender {
   ///    config, so name() and scoring behavior match the saved model.
   ///  - Not thread-safe against concurrent scoring (like Fit).
   ///
-  /// The stream overload is a convenience wrapper that builds an
-  /// ArtifactReader over `is` and dispatches to the reader overload —
-  /// the virtual hook every model implements. The reader form is
-  /// backend-agnostic: over a mapped artifact (ArtifactReader's mmap
-  /// backend) the factor-table models borrow their tables zero-copy
-  /// from the mapping instead of materializing them.
+  /// The stream overload is a convenience wrapper that buffers `is`
+  /// into an ArtifactReader and dispatches to the reader overload — the
+  /// virtual hook every model implements. The factor-table models
+  /// borrow their tables zero-copy from the reader's bytes (a file
+  /// mapping or that buffer) instead of copying them.
   Status Load(std::istream& is, const RatingDataset* train);
   virtual Status Load(ArtifactReader& r, const RatingDataset* train);
 

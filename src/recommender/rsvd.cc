@@ -264,7 +264,7 @@ Status RsvdRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> config = r.ReadSectionExpect(
       kModelConfigSection);
   if (!config.ok()) return config.status();
-  PayloadReader cr(config->payload());
+  PayloadReader cr(config->payload);
   RsvdConfig cfg;
   uint8_t use_biases = 0;
   uint8_t non_negative = 0;
@@ -286,7 +286,7 @@ Status RsvdRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   Result<ArtifactReader::Section> state = r.ReadSectionExpect(
       kModelStateSection);
   if (!state.ok()) return state.status();
-  PayloadReader sr(state->payload());
+  PayloadReader sr(state->payload);
   int32_t num_users = 0;
   int32_t num_items = 0;
   uint64_t fingerprint = 0;
@@ -300,11 +300,11 @@ Status RsvdRecommender::Load(ArtifactReader& r, const RatingDataset* train) {
   GANC_RETURN_NOT_OK(sr.ReadVecF64(&bi));
   GANC_RETURN_NOT_OK(sr.ReadVecF64(&base));
   GANC_RETURN_NOT_OK(sr.ExpectEnd());
-  Result<ArtifactReader::Section> factors = r.ReadSectionExpect(
+  Result<ArtifactReader::Section> factors = r.BorrowSectionExpect(
       kFactorTableSection);
   if (!factors.ok()) return factors.status();
   FactorStore store;
-  GANC_RETURN_NOT_OK(store.LoadFromSection(r, *factors));
+  GANC_RETURN_NOT_OK(store.Load(r, *factors));
   const size_t g = static_cast<size_t>(cfg.num_factors);
   const size_t nu = static_cast<size_t>(num_users);
   const size_t ni = static_cast<size_t>(num_items);

@@ -116,8 +116,7 @@ Result<std::unique_ptr<RecommendationService>>
 RecommendationService::LoadModelService(const std::string& path,
                                         const RatingDataset& train,
                                         ServiceConfig config) {
-  Result<std::unique_ptr<Recommender>> model =
-      LoadModelFileAuto(path, config.mmap_artifacts, &train);
+  Result<std::unique_ptr<Recommender>> model = LoadModelFile(path, &train);
   if (!model.ok()) return model.status();
   std::unique_ptr<RecommendationService> service(
       new RecommendationService(train, config));

@@ -80,11 +80,6 @@ struct ServiceConfig {
   /// precision). Ignored by the borrowing Create overloads — compact the
   /// model before handing it in.
   FactorPrecision factor_precision = FactorPrecision::kFp64;
-  /// LoadModelService opens the model artifact through the mmap
-  /// zero-copy path when the format supports it (v3; latent-factor
-  /// tables are then served straight off the mapping), with transparent
-  /// fallback to the stream loader. Pipelines are stream-only.
-  bool mmap_artifacts = true;
   /// Registry the service resolves its instruments from (null = the
   /// process-global registry). A shard hands the same registry to every
   /// replacement snapshot it publishes, so serving counters stay

@@ -14,14 +14,14 @@ constexpr uint32_t kStoreMetaSection = 1;
 constexpr uint32_t kStoreOffsetsSection = 2;
 constexpr uint32_t kStoreItemsSection = 3;
 
-// Shared invariant check behind FromLists and the loaders: offsets must
-// form a valid flat store for the declared dimensions. The per-item id
-// range scan is O(total items) and is skipped for mapped opens (stored
-// ids are only ever emitted, never used as indices), keeping the mapped
-// cold path O(users) regardless of file size.
+// Shared invariant check behind FromLists and the loader: offsets must
+// form a valid flat store for the declared dimensions, and every stored
+// id must be a catalog item. The id scan is O(stored ids) and cannot be
+// skipped: serving indexes per-item tables (the live novelty/coverage
+// accounting) with every id it emits.
 Status ValidateFlat(int32_t num_users, int32_t num_items, int32_t top_n,
                     std::span<const uint64_t> offsets,
-                    std::span<const ItemId> items, bool scan_items) {
+                    std::span<const ItemId> items) {
   if (num_users < 0 || num_items < 0 || top_n <= 0) {
     return Status::InvalidArgument("top-N store has invalid dimensions");
   }
@@ -36,11 +36,9 @@ Status ValidateFlat(int32_t num_users, int32_t num_items, int32_t top_n,
           "top-N store list lengths are inconsistent");
     }
   }
-  if (scan_items) {
-    for (const ItemId i : items) {
-      if (i < 0 || i >= num_items) {
-        return Status::InvalidArgument("top-N store item id out of range");
-      }
+  for (const ItemId i : items) {
+    if (i < 0 || i >= num_items) {
+      return Status::InvalidArgument("top-N store item id out of range");
     }
   }
   return Status::OK();
@@ -93,7 +91,7 @@ Result<TopNStore> TopNStore::FromLists(
   }
   store.offsets_.back() = store.items_.size();
   GANC_RETURN_NOT_OK(ValidateFlat(num_users, num_items, top_n, store.offsets_,
-                                  store.items_, /*scan_items=*/true));
+                                  store.items_));
   store.num_lists_ = CountLists(store.offsets_);
   store.BindOwnedViews();
   return store;
@@ -128,16 +126,12 @@ Status TopNStore::SaveFile(const std::string& path) const {
   return WriteArtifactFile(path, [&](std::ostream& os) { return Save(os); });
 }
 
-Result<TopNStore> TopNStore::Load(std::istream& is) {
-  ArtifactReader r(is);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  if (!header.ok()) return header.status();
-  GANC_RETURN_NOT_OK(ExpectArtifact(*header, ArtifactKind::kTopNStore, 0));
-
+Result<TopNStore> TopNStore::FromArtifact(ArtifactReader& r) {
+  GANC_RETURN_NOT_OK(ExpectArtifact(r.header(), ArtifactKind::kTopNStore, 0));
   Result<ArtifactReader::Section> meta = r.ReadSectionExpect(kStoreMetaSection);
   if (!meta.ok()) return meta.status();
   TopNStore store;
-  PayloadReader mr(meta->payload());
+  PayloadReader mr(meta->payload);
   GANC_RETURN_NOT_OK(mr.ReadI32(&store.num_users_));
   GANC_RETURN_NOT_OK(mr.ReadI32(&store.num_items_));
   GANC_RETURN_NOT_OK(mr.ReadI32(&store.top_n_));
@@ -146,83 +140,47 @@ Result<TopNStore> TopNStore::Load(std::istream& is) {
   GANC_RETURN_NOT_OK(mr.ExpectEnd());
 
   Result<ArtifactReader::Section> offsets =
-      r.ReadSectionExpect(kStoreOffsetsSection);
+      r.BorrowSectionExpect(kStoreOffsetsSection);
   if (!offsets.ok()) return offsets.status();
-  PayloadReader orr(offsets->payload());
-  GANC_RETURN_NOT_OK(orr.ReadVecU64(&store.offsets_));
-  GANC_RETURN_NOT_OK(orr.ExpectEnd());
-
-  Result<ArtifactReader::Section> items =
-      r.ReadSectionExpect(kStoreItemsSection);
-  if (!items.ok()) return items.status();
-  PayloadReader ir(items->payload());
-  GANC_RETURN_NOT_OK(ir.ReadVecI32(&store.items_));
-  GANC_RETURN_NOT_OK(ir.ExpectEnd());
-  GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
-
-  GANC_RETURN_NOT_OK(ValidateFlat(store.num_users_, store.num_items_,
-                                  store.top_n_, store.offsets_, store.items_,
-                                  /*scan_items=*/true));
-  store.num_lists_ = CountLists(store.offsets_);
-  store.BindOwnedViews();
-  return store;
-}
-
-Result<TopNStore> TopNStore::LoadFile(const std::string& path) {
-  return ReadArtifactFile(path, [](std::istream& is) { return Load(is); });
-}
-
-Result<TopNStore> TopNStore::LoadFileMapped(const std::string& path) {
-  Result<std::shared_ptr<const MappedArtifact>> mapped =
-      OpenMappedArtifact(path);
-  if (!mapped.ok()) return mapped.status();
-  GANC_RETURN_NOT_OK(
-      ExpectArtifact((*mapped)->header(), ArtifactKind::kTopNStore, 0));
-  ArtifactReader r(*mapped);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  if (!header.ok()) return header.status();
-
-  Result<ArtifactReader::Section> meta = r.ReadSectionExpect(kStoreMetaSection);
-  if (!meta.ok()) return meta.status();
-  TopNStore store;
-  PayloadReader mr(meta->payload());
-  GANC_RETURN_NOT_OK(mr.ReadI32(&store.num_users_));
-  GANC_RETURN_NOT_OK(mr.ReadI32(&store.num_items_));
-  GANC_RETURN_NOT_OK(mr.ReadI32(&store.top_n_));
-  GANC_RETURN_NOT_OK(mr.ReadU64(&store.train_fingerprint_));
-  GANC_RETURN_NOT_OK(mr.ReadString(&store.source_));
-  GANC_RETURN_NOT_OK(mr.ExpectEnd());
-
-  Result<ArtifactReader::Section> offsets =
-      r.ReadSectionExpect(kStoreOffsetsSection);
-  if (!offsets.ok()) return offsets.status();
-  PayloadReader orr(offsets->payload());
+  PayloadReader orr(offsets->payload);
   GANC_RETURN_NOT_OK(orr.BorrowVec(&store.offsets_view_));
   GANC_RETURN_NOT_OK(orr.ExpectEnd());
 
   Result<ArtifactReader::Section> items =
-      r.ReadSectionExpect(kStoreItemsSection);
+      r.BorrowSectionExpect(kStoreItemsSection);
   if (!items.ok()) return items.status();
-  PayloadReader ir(items->payload());
+  PayloadReader ir(items->payload);
   GANC_RETURN_NOT_OK(ir.BorrowVec(&store.items_view_));
   GANC_RETURN_NOT_OK(ir.ExpectEnd());
   GANC_RETURN_NOT_OK(ExpectEndOfArtifact(r));
 
   GANC_RETURN_NOT_OK(ValidateFlat(store.num_users_, store.num_items_,
                                   store.top_n_, store.offsets_view_,
-                                  store.items_view_, /*scan_items=*/false));
+                                  store.items_view_));
   store.num_lists_ = CountLists(store.offsets_view_);
-  store.mapped_ = std::move(*mapped);
+  store.keepalive_ = r.bytes();
   return store;
 }
 
+Result<TopNStore> TopNStore::Load(std::istream& is) {
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  if (!r.ok()) return r.status();
+  return FromArtifact(*r);
+}
+
+Result<TopNStore> TopNStore::LoadFile(const std::string& path) {
+  Result<ArtifactReader> r = ArtifactReader::OpenFile(path);
+  if (!r.ok()) return r.status();
+  return FromArtifact(*r);
+}
+
 Result<TopNStore> TopNStore::LoadFileAuto(const std::string& path,
-                                          bool prefer_mmap) {
-  if (prefer_mmap) {
-    Result<TopNStore> mapped = LoadFileMapped(path);
-    if (mapped.ok() || !IsMmapFallback(mapped.status())) return mapped;
-  }
+                                          bool /*prefer_mmap*/) {
   return LoadFile(path);
+}
+
+bool TopNStore::IsMapped() const {
+  return keepalive_ != nullptr && keepalive_->is_mapping();
 }
 
 std::vector<UserId> HeadUsersByActivity(const RatingDataset& train,

@@ -34,10 +34,9 @@ namespace ganc {
 
 /// Immutable flat store of per-user precomputed top-N lists. The flat
 /// arrays are exposed through spans that either view owned vectors
-/// (FromLists / stream Load) or borrow from a memory-mapped v3
-/// artifact (LoadFileMapped): cold-open then validates offsets in
-/// O(users) and pages lists in on first request. Move-only: the spans
-/// alias owned heap buffers or the shared mapping.
+/// (FromLists) or borrow from a loaded artifact's bytes (LoadFile maps
+/// the file; Load buffers a stream). Move-only: the spans alias owned
+/// heap buffers or the shared artifact bytes.
 class TopNStore {
  public:
   TopNStore() = default;
@@ -76,32 +75,30 @@ class TopNStore {
   /// Total stored item ids.
   size_t total_items() const { return items_view_.size(); }
   /// True when the flat arrays are borrowed from a file mapping.
-  bool IsMapped() const { return mapped_ != nullptr; }
+  bool IsMapped() const;
 
   /// Serializes the store as a kind-4 artifact (docs/FORMATS.md).
   Status Save(std::ostream& os) const;
   Status SaveFile(const std::string& path) const;
 
-  /// Restores a store written by Save; every structural invariant
-  /// (monotone offsets, list lengths, id ranges) is validated before any
-  /// state is returned.
-  static Result<TopNStore> Load(std::istream& is);
+  /// Opens a store written by Save as a zero-copy view over a file
+  /// mapping. Every structural invariant (monotone offsets, list
+  /// lengths, id ranges) is validated before the store is returned:
+  /// O(users) for the offsets plus one O(stored ids) range scan.
   static Result<TopNStore> LoadFile(const std::string& path);
 
-  /// Opens a v3 store artifact as a zero-copy view over a file
-  /// mapping: O(users) offset validation up front, item lists paged in
-  /// on use (stored ids are only ever emitted, never indexed, so the
-  /// per-item range scan of the stream loader is skipped). Returns
-  /// kFailedPrecondition for pre-v3 artifacts and kNotImplemented
-  /// without platform mmap (both mean "use LoadFile").
-  static Result<TopNStore> LoadFileMapped(const std::string& path);
+  /// LoadFile over a stream positioned at the store's first byte: the
+  /// artifact is buffered in memory and the store borrows from that.
+  static Result<TopNStore> Load(std::istream& is);
 
-  /// LoadFileMapped when possible, transparent fallback to the stream
-  /// loader otherwise (or always, when `prefer_mmap` is false).
+  /// Exists only for bench/e2e, which calls it; delete it once that
+  /// harness calls LoadFile. Same as LoadFile.
   static Result<TopNStore> LoadFileAuto(const std::string& path,
                                         bool prefer_mmap);
 
  private:
+  /// The one store loader, over either kind of artifact bytes.
+  static Result<TopNStore> FromArtifact(ArtifactReader& r);
   void BindOwnedViews() {
     offsets_view_ = offsets_;
     items_view_ = items_;
@@ -113,13 +110,14 @@ class TopNStore {
   uint64_t train_fingerprint_ = 0;
   std::string source_;
   size_t num_lists_ = 0;
-  // Owned storage (empty when the views borrow from a mapping).
+  // Owned storage (empty when the views borrow artifact bytes).
   std::vector<uint64_t> offsets_;
   std::vector<ItemId> items_;
   // num_users_ + 1 offsets over the flattened user-major lists.
   std::span<const uint64_t> offsets_view_;
   std::span<const ItemId> items_view_;
-  std::shared_ptr<const MappedArtifact> mapped_;
+  // Null for FromLists stores.
+  std::shared_ptr<const ArtifactBytes> keepalive_;
 };
 
 /// The `count` most active users of `train` (ties broken by smaller id),

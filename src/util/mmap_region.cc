@@ -14,8 +14,6 @@
 
 namespace ganc {
 
-bool MmapRegion::Supported() { return GANC_HAS_MMAP != 0; }
-
 MmapRegion& MmapRegion::operator=(MmapRegion&& other) noexcept {
   if (this != &other) {
     Reset();

@@ -1,12 +1,11 @@
-// Read-only memory mapping of a whole file, the substrate of the
-// out-of-core artifact path: mapped artifacts are paged in on demand by
-// the kernel, so cold-start cost is proportional to the bytes actually
+// Read-only memory mapping of a whole file, the substrate of every
+// artifact file load: mapped artifacts are paged in on demand by the
+// kernel, so cold-start cost is proportional to the bytes actually
 // touched instead of the file size, and clean pages can be evicted
 // under memory pressure without any bookkeeping here.
 //
-// On platforms without mmap (or when the build opts out) Map() returns
-// kNotImplemented and callers fall back to the validating stream
-// reader, which stays the portable path.
+// On platforms without mmap Map() returns kNotImplemented: artifact
+// file loads need POSIX mmap (docs/FORMATS.md).
 
 #ifndef GANC_UTIL_MMAP_REGION_H_
 #define GANC_UTIL_MMAP_REGION_H_
@@ -22,17 +21,16 @@ namespace ganc {
 
 /// RAII read-only mapping of an entire file. Move-only; the mapping is
 /// released in the destructor. The mapped bytes are immutable for the
-/// lifetime of the region (PROT_READ); writers that replace an artifact
-/// must write a new file, never mutate one in place.
+/// lifetime of the region (PROT_READ) only because writers never touch
+/// a published file: WriteArtifactFile writes a new file and renames it
+/// over the old one. Truncating a mapped file raises SIGBUS in every
+/// process that reads the lost pages.
 class MmapRegion {
  public:
   /// Maps `path` read-only. Returns kNotImplemented when the platform
-  /// has no mmap support (the caller's cue to fall back to streams),
-  /// kIOError when the file cannot be opened/mapped.
+  /// has no mmap support, kIOError when the file cannot be
+  /// opened/mapped.
   static Result<MmapRegion> Map(const std::string& path);
-
-  /// True when this build can memory-map files at all.
-  static bool Supported();
 
   MmapRegion() = default;
   MmapRegion(MmapRegion&& other) noexcept { *this = std::move(other); }

@@ -1,6 +1,12 @@
 #include "util/serialize.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <fstream>
 
 #include "util/binary_io.h"
 
@@ -21,6 +27,16 @@ void WriteVecGeneric(PayloadWriter* w, const std::vector<T>& v,
 
 uint64_t PaddingFor(uint64_t offset) {
   return (kSectionAlignment - offset % kSectionAlignment) % kSectionAlignment;
+}
+
+// fsync()s a file or directory by path.
+Status SyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags);
+  if (fd < 0) return Status::IOError("cannot open " + path + " to sync");
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  if (!synced) return Status::IOError("fsync failed for " + path);
+  return Status::OK();
 }
 
 }  // namespace
@@ -277,23 +293,21 @@ uint64_t DecodeU64(const char* b) {
 }
 
 constexpr size_t kHeaderBytes = 24;
+// Section id + payload size, ahead of the padding.
+constexpr size_t kSectionPrefixBytes = 12;
 
-// Parses and validates the fixed 24-byte header. Accepts every version
-// the stream reader supports; mapped-specific restrictions are layered
-// on in MappedArtifact::Open.
+// Parses and validates the fixed 24-byte header.
 Result<ArtifactHeader> ParseHeaderBytes(const char* b) {
   if (std::memcmp(b, kGancArtifactMagic, sizeof(kGancArtifactMagic)) != 0) {
     return Status::InvalidArgument("bad artifact magic (not a GANC artifact)");
   }
   ArtifactHeader header;
   header.version = DecodeU32(b + 8);
-  if (header.version < kMinSupportedReadVersion ||
-      header.version > kGancFormatVersion) {
+  if (header.version != kGancFormatVersion) {
     return Status::InvalidArgument(
         "unsupported artifact format version " +
-        std::to_string(header.version) + " (this build reads versions " +
-        std::to_string(kMinSupportedReadVersion) + ".." +
-        std::to_string(kGancFormatVersion) + ")");
+        std::to_string(header.version) + " (this build reads version " +
+        std::to_string(kGancFormatVersion) + " only)");
   }
   header.kind = DecodeU32(b + 12);
   header.type_tag = DecodeU32(b + 16);
@@ -409,126 +423,120 @@ Status ArtifactWriter::Finish() {
   return Status::OK();
 }
 
-Result<MappedArtifact> MappedArtifact::Open(const std::string& path) {
+Result<std::shared_ptr<const ArtifactBytes>> ArtifactBytes::MapFile(
+    const std::string& path) {
   Result<MmapRegion> region = MmapRegion::Map(path);
   if (!region.ok()) return region.status();
-  MappedArtifact artifact;
-  artifact.region_ = std::move(region).value();
-  artifact.path_ = path;
-  if (artifact.region_.size() < kHeaderBytes) {
+  auto bytes = std::make_shared<ArtifactBytes>();
+  bytes->region_ = std::move(region).value();
+  return std::shared_ptr<const ArtifactBytes>(std::move(bytes));
+}
+
+std::shared_ptr<const ArtifactBytes> ArtifactBytes::ReadStream(
+    std::istream& is) {
+  auto bytes = std::make_shared<ArtifactBytes>();
+  AlignedVector<char>& buf = bytes->heap_;
+  // Appends the next `n` stream bytes in bounded chunks, so a forged
+  // size on a short stream fails after one short read instead of
+  // allocating the claimed size up front. False at end of stream.
+  const auto take = [&](uint64_t n) {
+    constexpr uint64_t kReadChunk = 1 << 20;
+    while (n > 0) {
+      const size_t chunk = static_cast<size_t>(std::min(n, kReadChunk));
+      const size_t old = buf.size();
+      buf.resize(old + chunk);
+      is.read(buf.data() + old, static_cast<std::streamsize>(chunk));
+      const size_t got = static_cast<size_t>(is.gcount());
+      if (got < chunk) {
+        buf.resize(old + got);
+        return false;
+      }
+      n -= chunk;
+    }
+    return true;
+  };
+  // Walk the framing only: the reader validates what was copied.
+  if (take(kHeaderBytes) && ParseHeaderBytes(buf.data()).ok()) {
+    while (take(kSectionPrefixBytes)) {
+      const char* prefix = buf.data() + buf.size() - kSectionPrefixBytes;
+      const uint32_t id = DecodeU32(prefix);
+      const uint64_t size = DecodeU64(prefix + 4);
+      if (id == kEndSectionId) {
+        take(8);  // checksum of the empty payload
+        break;
+      }
+      if (size > kMaxSectionBytes ||
+          !take(PaddingFor(buf.size()) + size + 8)) {
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+std::shared_ptr<const ArtifactBytes> ArtifactBytes::Copy(
+    std::string_view bytes) {
+  auto out = std::make_shared<ArtifactBytes>();
+  out->heap_.assign(bytes.begin(), bytes.end());
+  return out;
+}
+
+std::string_view ArtifactBytes::view() const {
+  return region_.valid() ? region_.bytes()
+                         : std::string_view(heap_.data(), heap_.size());
+}
+
+Result<ArtifactReader> ArtifactReader::OpenFile(const std::string& path) {
+  Result<std::shared_ptr<const ArtifactBytes>> bytes =
+      ArtifactBytes::MapFile(path);
+  if (!bytes.ok()) return bytes.status();
+  return Open(std::move(bytes).value());
+}
+
+Result<ArtifactReader> ArtifactReader::OpenStream(std::istream& is) {
+  return Open(ArtifactBytes::ReadStream(is));
+}
+
+Result<ArtifactReader> ArtifactReader::Open(
+    std::shared_ptr<const ArtifactBytes> bytes) {
+  ArtifactReader r;
+  r.bytes_ = std::move(bytes);
+  r.window_ = r.bytes_->view();
+  if (r.window_.size() < kHeaderBytes) {
     return Status::IOError("truncated artifact: magic");
   }
-  Result<ArtifactHeader> header = ParseHeaderBytes(artifact.region_.data());
+  Result<ArtifactHeader> header = ParseHeaderBytes(r.window_.data());
   if (!header.ok()) return header.status();
-  if (header->version < 3) {
-    // Pre-v3 artifacts carry no alignment guarantee; the caller falls
-    // back to the (still fully supported) stream reader.
-    return Status::FailedPrecondition(
-        "artifact format version " + std::to_string(header->version) +
-        " predates the mmap path; use the stream reader");
-  }
-  artifact.header_ = *header;
-  return artifact;
+  r.header_ = *header;
+  r.pos_ = kHeaderBytes;
+  return r;
 }
-
-Result<std::shared_ptr<const MappedArtifact>> OpenMappedArtifact(
-    const std::string& path) {
-  Result<MappedArtifact> artifact = MappedArtifact::Open(path);
-  if (!artifact.ok()) return artifact.status();
-  return std::shared_ptr<const MappedArtifact>(
-      std::make_shared<MappedArtifact>(std::move(artifact).value()));
-}
-
-bool IsMmapFallback(const Status& status) {
-  return status.code() == StatusCode::kNotImplemented ||
-         status.code() == StatusCode::kFailedPrecondition;
-}
-
-ArtifactReader::ArtifactReader(std::shared_ptr<const MappedArtifact> mapped)
-    : mapped_(std::move(mapped)) {}
 
 Status ArtifactReader::GetU32(uint32_t* out, const char* what) {
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (4 > bytes.size() - pos_) {
-      return Status::IOError(std::string("truncated artifact: ") + what);
-    }
-    *out = DecodeU32(bytes.data() + pos_);
-    pos_ += 4;
-    return Status::OK();
+  if (4 > window_.size() - pos_) {
+    return Status::IOError(std::string("truncated artifact: ") + what);
   }
-  char b[4];
-  is_->read(b, sizeof(b));
-  if (!*is_) return Status::IOError(std::string("truncated artifact: ") + what);
-  *out = DecodeU32(b);
+  *out = DecodeU32(window_.data() + pos_);
   pos_ += 4;
   return Status::OK();
 }
 
 Status ArtifactReader::GetU64(uint64_t* out, const char* what) {
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (8 > bytes.size() - pos_) {
-      return Status::IOError(std::string("truncated artifact: ") + what);
-    }
-    *out = DecodeU64(bytes.data() + pos_);
-    pos_ += 8;
-    return Status::OK();
+  if (8 > window_.size() - pos_) {
+    return Status::IOError(std::string("truncated artifact: ") + what);
   }
-  char b[8];
-  is_->read(b, sizeof(b));
-  if (!*is_) return Status::IOError(std::string("truncated artifact: ") + what);
-  *out = DecodeU64(b);
+  *out = DecodeU64(window_.data() + pos_);
   pos_ += 8;
   return Status::OK();
 }
 
-Result<ArtifactHeader> ArtifactReader::ReadHeader() {
-  if (mapped_ != nullptr) {
-    // MappedArtifact::Open already validated the header.
-    header_ = mapped_->header();
-    header_read_ = true;
-    pos_ = kHeaderBytes;
-    return header_;
-  }
-  char b[kHeaderBytes];
-  is_->read(b, sizeof(b));
-  if (!*is_) return Status::IOError("truncated artifact: magic");
-  Result<ArtifactHeader> header = ParseHeaderBytes(b);
-  if (!header.ok()) return header.status();
-  header_ = *header;
-  header_read_ = true;
-  pos_ += kHeaderBytes;
-  return header_;
-}
-
-Result<ArtifactHeader> ArtifactReader::Header() {
-  if (header_read_) return header_;
-  return ReadHeader();
-}
-
 Status ArtifactReader::SkipPadding() {
-  if (header_.version < 3) return Status::OK();
   const uint64_t pad = PaddingFor(pos_);
-  if (pad == 0) return Status::OK();
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (pad > bytes.size() - pos_) {
-      return Status::IOError("truncated artifact: section padding");
-    }
-    for (uint64_t i = 0; i < pad; ++i) {
-      if (bytes[pos_ + i] != '\0') {
-        return Status::InvalidArgument("nonzero section padding");
-      }
-    }
-    pos_ += pad;
-    return Status::OK();
+  if (pad > window_.size() - pos_) {
+    return Status::IOError("truncated artifact: section padding");
   }
-  char b[kSectionAlignment];
-  is_->read(b, static_cast<std::streamsize>(pad));
-  if (!*is_) return Status::IOError("truncated artifact: section padding");
   for (uint64_t i = 0; i < pad; ++i) {
-    if (b[i] != '\0') {
+    if (window_[pos_ + i] != '\0') {
       return Status::InvalidArgument("nonzero section padding");
     }
   }
@@ -536,13 +544,8 @@ Status ArtifactReader::SkipPadding() {
   return Status::OK();
 }
 
-Result<ArtifactReader::Section> ArtifactReader::ReadSection() {
-  if (!header_read_) {
-    return Status::FailedPrecondition(
-        "artifact header must be read before sections");
-  }
+Result<ArtifactReader::Section> ArtifactReader::Next(bool borrowed) {
   Section section;
-  section.is_mapped = mapped_ != nullptr;
   GANC_RETURN_NOT_OK(GetU32(&section.id, "section id"));
   uint64_t size = 0;
   GANC_RETURN_NOT_OK(GetU64(&size, "section size"));
@@ -556,53 +559,34 @@ Result<ArtifactReader::Section> ArtifactReader::ReadSection() {
   if (section.id != kEndSectionId) {
     GANC_RETURN_NOT_OK(SkipPadding());
   }
-  if (mapped_ != nullptr) {
-    const std::string_view bytes = mapped_->bytes();
-    if (size > bytes.size() - pos_) {
-      return Status::IOError("truncated artifact: section payload");
-    }
-    section.view_ = bytes.substr(pos_, size);
-    pos_ += size;
-    uint64_t checksum = 0;
-    GANC_RETURN_NOT_OK(GetU64(&checksum, "section checksum"));
-    // Out-of-core policy: hashing a huge mapped payload would fault in
-    // every page up front, so only small sections (metadata, offsets)
-    // are verified here. Bulk sections stay bounds-checked; the stream
-    // reader remains the fully validating path.
-    if (size <= kMappedChecksumVerifyBytes &&
-        checksum != Fnv1aHash(section.view_.data(), section.view_.size())) {
-      return Status::InvalidArgument(
-          "section " + std::to_string(section.id) + " checksum mismatch");
-    }
-    return section;
+  if (size > window_.size() - pos_) {
+    return Status::IOError("truncated artifact: section payload");
   }
-  // Read in bounded chunks so a truncated file with a forged huge size
-  // fails after one short read instead of allocating the claimed size
-  // up front.
-  constexpr uint64_t kReadChunk = 1 << 20;
-  section.owned_.reserve(
-      static_cast<size_t>(std::min<uint64_t>(size, kReadChunk)));
-  std::string chunk;
-  for (uint64_t left = size; left > 0;) {
-    const size_t n = static_cast<size_t>(std::min(left, kReadChunk));
-    chunk.resize(n);
-    is_->read(chunk.data(), static_cast<std::streamsize>(n));
-    if (!*is_) return Status::IOError("truncated artifact: section payload");
-    section.owned_.append(chunk, 0, n);
-    left -= n;
-  }
+  section.payload = window_.substr(pos_, size);
   pos_ += size;
   uint64_t checksum = 0;
   GANC_RETURN_NOT_OK(GetU64(&checksum, "section checksum"));
-  if (checksum != Fnv1aHash(section.owned_.data(), section.owned_.size())) {
+  // Out-of-core policy: hashing a huge mapped payload that the loader
+  // only borrows would fault in every page up front, so such a section
+  // stays bounds-checked only. A heap buffer is resident already.
+  const bool verify = !borrowed || size <= kMappedChecksumVerifyBytes ||
+                      !bytes_->is_mapping();
+  if (verify &&
+      checksum != Fnv1aHash(section.payload.data(), section.payload.size())) {
     return Status::InvalidArgument(
         "section " + std::to_string(section.id) + " checksum mismatch");
   }
   return section;
 }
 
-Result<ArtifactReader::Section> ArtifactReader::ReadSectionExpect(uint32_t id) {
-  Result<Section> section = ReadSection();
+Result<ArtifactReader::Section> ArtifactReader::ReadSection() {
+  return Next(/*borrowed=*/false);
+}
+
+namespace {
+
+Result<ArtifactReader::Section> RequireId(
+    Result<ArtifactReader::Section> section, uint32_t id) {
   if (!section.ok()) return section.status();
   if (section->id != id) {
     return Status::InvalidArgument("expected artifact section " +
@@ -612,14 +596,45 @@ Result<ArtifactReader::Section> ArtifactReader::ReadSectionExpect(uint32_t id) {
   return section;
 }
 
+}  // namespace
+
+Result<ArtifactReader::Section> ArtifactReader::ReadSectionExpect(uint32_t id) {
+  return RequireId(Next(/*borrowed=*/false), id);
+}
+
+Result<ArtifactReader::Section> ArtifactReader::BorrowSectionExpect(
+    uint32_t id) {
+  return RequireId(Next(/*borrowed=*/true), id);
+}
+
 Status WriteArtifactFile(const std::string& path,
                          const std::function<Status(std::ostream&)>& write) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return Status::IOError("cannot open " + path + " for writing");
-  GANC_RETURN_NOT_OK(write(os));
-  os.close();
-  if (!os) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  // A process-unique temporary name in the target directory, so the
+  // final rename never crosses a filesystem.
+  static std::atomic<uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1));
+  Status st = [&]() -> Status {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os) return Status::IOError("cannot open " + tmp + " for writing");
+    GANC_RETURN_NOT_OK(write(os));
+    os.close();
+    if (!os) return Status::IOError("write failed for " + tmp);
+    return SyncPath(tmp, O_RDONLY);
+  }();
+  if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Status::IOError("cannot rename " + tmp + " to " + path);
+  }
+  if (!st.ok()) {
+    std::remove(tmp.c_str());
+    return st;
+  }
+  // Make the rename itself durable.
+  const size_t slash = path.find_last_of('/');
+  return SyncPath(slash == std::string::npos ? std::string(".")
+                  : slash == 0               ? std::string("/")
+                                             : path.substr(0, slash),
+                  O_RDONLY | O_DIRECTORY);
 }
 
 Status ExpectEndOfArtifact(ArtifactReader& r) {

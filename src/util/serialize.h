@@ -1,7 +1,7 @@
 // Shared reader/writer for the GANC binary artifact format: the on-disk
 // representation behind model artifacts (Recommender::Save/Load), the
-// binary dataset cache (RatingDataset::SaveBinary/LoadBinary), and
-// pipeline state (GancPipeline::Save/Load).
+// binary dataset cache (RatingDataset::SaveBinary/LoadFile), top-N
+// stores, and pipeline state (GancPipeline::Save/Load).
 //
 // An artifact is a fixed header (magic, format version, artifact kind,
 // type tag) followed by a sequence of independently checksummed
@@ -11,23 +11,26 @@
 //   { [section id u32] [payload size u64] [pad] [payload] [FNV-1a u64] }*
 //   [end marker: id 0, size 0, FNV-1a of the empty payload]
 //
-// Since format version 3, zero bytes are inserted between the size
-// field and the payload so every payload starts on a 64-byte boundary
-// (`pad = (-offset) mod 64`, where offset is the absolute file position
-// after the size field; the end marker is never padded). Alignment is
-// what lets a memory-mapped artifact hand out borrowed views straight
-// into the page cache: offset tables, CSR rows, and factor tables are
-// read in place with zero copies. Version 2 artifacts (no padding) are
-// still read by the stream path.
+// Zero bytes are inserted between the size field and the payload so
+// every payload starts on a 64-byte boundary (`pad = (-offset) mod 64`,
+// where offset is the absolute position after the size field; the end
+// marker is never padded). Alignment is what lets a loader hand out
+// borrowed views straight into the artifact's bytes: offset tables, CSR
+// rows, and factor tables are read in place with zero copies.
 //
-// All integers and floats are little-endian; floats are raw IEEE-754
-// bits, so doubles round-trip bit-exactly. Every stream read is
-// validated: bad magic, an unknown version, a truncated stream, or a
+// There is one reader. It runs over an immutable byte span: a read-only
+// file mapping for every file load, or a 64-byte-aligned heap buffer
+// for std::istream loads and for the model embedded in a pipeline. All
+// integers and floats are little-endian; floats are raw IEEE-754 bits,
+// so doubles round-trip bit-exactly. Every record is bounds-checked
+// against the span, so bad magic, an unknown version, truncation, or a
 // corrupted section surfaces as a Status error, never as garbage state.
-// The mapped reader bounds-checks every record against the file size
-// (truncation is a typed error, not UB) but only verifies checksums of
-// payloads up to kMappedChecksumVerifyBytes — hashing a multi-GB
-// section would fault in every page and defeat the out-of-core point.
+// Checksums: ReadSectionExpect verifies every section it returns (the
+// sections a loader copies); BorrowSectionExpect, for the sections a
+// loader keeps as views, verifies a payload of at most
+// kMappedChecksumVerifyBytes, and every payload of a heap buffer —
+// hashing a multi-GB mapped section would fault in every page and
+// defeat the out-of-core point. `ganc_cli inspect` verifies them all.
 // The normative spec lives in docs/FORMATS.md and must stay in sync
 // with the constants below (CI greps kGancFormatVersion in both files).
 
@@ -37,7 +40,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <istream>
 #include <memory>
@@ -47,27 +49,24 @@
 #include <string_view>
 #include <vector>
 
+#include "util/aligned.h"
 #include "util/binary_io.h"
 #include "util/mmap_region.h"
 #include "util/status.h"
 
 namespace ganc {
 
-/// Current on-disk format version, bumped on any incompatible layout
-/// change. Writers always emit this version; readers also accept older
-/// versions down to kMinSupportedReadVersion (stream path only).
+/// The on-disk format version, bumped on any incompatible layout
+/// change. Writers emit it and readers accept nothing else.
 /// Keep docs/FORMATS.md in sync (CI greps the literal in both files).
 inline constexpr uint32_t kGancFormatVersion = 3;
 
-/// Oldest version the stream reader still accepts. v2 differs from v3
-/// only by the absence of section padding; v1 never shipped.
-inline constexpr uint32_t kMinSupportedReadVersion = 2;
-
-/// Section payloads start on this boundary from format v3 on.
+/// Section payloads start on this boundary.
 inline constexpr uint64_t kSectionAlignment = 64;
 
-/// The mapped reader verifies checksums only for payloads at most this
-/// large; bigger sections are bounds-checked but read lazily in place.
+/// BorrowSectionExpect over a file mapping verifies checksums only for
+/// payloads at most this large; bigger sections are bounds-checked but
+/// read lazily in place.
 inline constexpr uint64_t kMappedChecksumVerifyBytes = 1ULL << 20;  // 1 MiB
 
 /// 8-byte file magic, "GANCART" + NUL.
@@ -90,9 +89,8 @@ inline constexpr uint32_t kEndSectionId = 0;
 /// before allocating).
 inline constexpr uint64_t kMaxSectionBytes = 1ULL << 34;  // 16 GiB
 
-/// Host endianness gate for the bulk memcpy/borrow fast paths; the
-/// element-wise fallbacks keep big-endian hosts correct (without
-/// zero-copy).
+/// Host endianness gate for the writers' bulk memcpy paths. Borrowed
+/// views need a little-endian host, so the reader requires one.
 inline constexpr bool kGancHostIsLittleEndian =
     std::endian::native == std::endian::little;
 
@@ -112,8 +110,8 @@ class PayloadWriter {
   void WriteString(std::string_view s);
   /// Zero-pads the payload so the next write starts at a multiple of
   /// `alignment` *within the payload*. Payloads start 64-byte aligned
-  /// in the file (v3), so in-payload alignment is file alignment for
-  /// any alignment dividing kSectionAlignment.
+  /// in the file, so in-payload alignment is file alignment for any
+  /// alignment dividing kSectionAlignment.
   void AlignTo(size_t alignment);
   void WriteVecF64(const std::vector<double>& v);
   void WriteVecF32(const std::vector<float>& v);
@@ -160,10 +158,10 @@ class PayloadReader {
   Status ReadVecI8(std::vector<int8_t>* out);
 
   /// Zero-copy read of a [count u64][elements] vector: the returned
-  /// span aliases the payload bytes, valid only as long as the backing
-  /// storage (for mapped artifacts, the mapping). Requires a
+  /// span aliases the payload bytes, valid only as long as the
+  /// artifact's bytes (ArtifactReader::bytes()). Requires a
   /// little-endian host and element-aligned data — misalignment is a
-  /// typed error, since a v3 writer always aligns borrowable tables.
+  /// typed error, since the writer always aligns borrowable tables.
   template <typename T>
   Status BorrowVec(std::span<const T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -179,7 +177,7 @@ class PayloadReader {
     const char* base = bytes_.data() + pos_;
     if (reinterpret_cast<uintptr_t>(base) % alignof(T) != 0) {
       return Status::InvalidArgument(
-          "misaligned vector data in mapped section payload");
+          "misaligned vector data in section payload");
     }
     *out = std::span<const T>(reinterpret_cast<const T*>(base),
                               static_cast<size_t>(count));
@@ -207,7 +205,7 @@ struct ArtifactHeader {
 };
 
 /// Writes the header, then checksummed sections, then the end marker.
-/// Always emits the current format version (v3): padded sections. The
+/// Always emits the current format version: padded sections. The
 /// streaming Begin/Append/End triple writes a section whose size is
 /// known up front without buffering the payload — the path the
 /// O(users)-memory synthetic generator uses for multi-hundred-MB row
@@ -242,96 +240,85 @@ class ArtifactWriter {
   Fnv1aHasher hasher_;
 };
 
-/// A whole artifact file mapped read-only, shared by every borrowed
-/// view into it (datasets, stores, and factor tables hold a
-/// shared_ptr<const MappedArtifact> keepalive). Open() requires format
-/// v3 — earlier versions lack the alignment guarantee — and signals
-/// "use the stream reader instead" with kFailedPrecondition (old
-/// version) or kNotImplemented (no mmap on this platform).
-class MappedArtifact {
+/// The immutable bytes of one artifact: a read-only file mapping, or a
+/// 64-byte-aligned heap buffer. Every view a loader keeps (dataset
+/// rows, factor tables, store lists) holds a shared_ptr to it.
+class ArtifactBytes {
  public:
-  static Result<MappedArtifact> Open(const std::string& path);
+  /// Maps `path` read-only (kIOError when it cannot be opened).
+  static Result<std::shared_ptr<const ArtifactBytes>> MapFile(
+      const std::string& path);
+  /// Copies one artifact out of `is`, which must be positioned at its
+  /// first byte: the header, then section by section through the end
+  /// marker, so the stream is left just past the artifact. A stream
+  /// that ends early yields the bytes read so far (the reader reports
+  /// the truncation); a forged section size never allocates more than
+  /// 1 MiB beyond what the stream actually holds.
+  static std::shared_ptr<const ArtifactBytes> ReadStream(std::istream& is);
+  /// Copies `bytes` into an aligned heap buffer.
+  static std::shared_ptr<const ArtifactBytes> Copy(std::string_view bytes);
 
-  std::string_view bytes() const { return region_.bytes(); }
-  const ArtifactHeader& header() const { return header_; }
-  const std::string& path() const { return path_; }
+  std::string_view view() const;
+  /// True for a file mapping, whose clean pages may be dropped with
+  /// ReleaseMappedPages; false for a heap buffer, where that would zero
+  /// live data.
+  bool is_mapping() const { return region_.valid(); }
 
  private:
   MmapRegion region_;
-  ArtifactHeader header_;
-  std::string path_;
+  AlignedVector<char> heap_;
 };
 
-/// Opens `path` as a shared mapped artifact (see MappedArtifact::Open
-/// for the fallback error codes).
-Result<std::shared_ptr<const MappedArtifact>> OpenMappedArtifact(
-    const std::string& path);
-
-/// True when `status` means "the mapped path is unavailable here, fall
-/// back to the stream reader" rather than "the artifact is bad":
-/// kNotImplemented (no mmap) or kFailedPrecondition (pre-v3 artifact).
-bool IsMmapFallback(const Status& status);
-
-/// Validating reader over an artifact, with two interchangeable
-/// backends: a stream (payloads copied into the section, checksums
-/// always verified) or a mapped artifact (payloads borrowed in place;
-/// see the header comment for the checksum policy). Load
-/// implementations written against Section::payload() work identically
-/// over both.
+/// Validating reader over one artifact's bytes. Opening parses and
+/// checks the header; sections are then read in file order as views
+/// into the bytes (see the header comment for the checksum policy).
 class ArtifactReader {
  public:
   struct Section {
     uint32_t id = kEndSectionId;
-    /// True when payload() borrows from a mapped artifact (and may be
-    /// handed out as a long-lived view together with the reader's
-    /// mapped_artifact() keepalive). When false, payload() points at
-    /// `owned` and is invalidated by destroying the Section.
-    bool is_mapped = false;
-
-    std::string_view payload() const {
-      return is_mapped ? view_ : std::string_view(owned_);
-    }
-
-    // Backing storage; use payload() instead of touching these.
-    std::string owned_;
-    std::string_view view_;
+    /// Points into bytes(); valid as long as the reader or any holder
+    /// of bytes() lives.
+    std::string_view payload;
   };
 
-  /// Stream backend. The stream must be positioned at the artifact's
-  /// first byte (the reader tracks offsets itself for v3 padding).
-  explicit ArtifactReader(std::istream& is) : is_(&is) {}
-  /// Mapped backend (zero-copy sections).
-  explicit ArtifactReader(std::shared_ptr<const MappedArtifact> mapped);
+  /// Maps `path`: every file load.
+  static Result<ArtifactReader> OpenFile(const std::string& path);
+  /// Buffers one artifact read from `is` (see ArtifactBytes::ReadStream).
+  static Result<ArtifactReader> OpenStream(std::istream& is);
+  /// Over bytes already in hand (the model embedded in a pipeline).
+  static Result<ArtifactReader> Open(
+      std::shared_ptr<const ArtifactBytes> bytes);
 
-  /// Validates magic + version and returns the header.
-  Result<ArtifactHeader> ReadHeader();
+  const ArtifactHeader& header() const { return header_; }
 
-  /// The header, reading it first if no ReadHeader call happened yet.
-  Result<ArtifactHeader> Header();
-
-  /// Reads the next section. id == kEndSectionId signals a well-formed
-  /// end of artifact.
+  /// Reads the next section and verifies its checksum. id ==
+  /// kEndSectionId signals a well-formed end of artifact.
   Result<Section> ReadSection();
 
-  /// Reads the next section and requires its id (the fixed-layout read
-  /// path every Load implementation uses).
+  /// ReadSection, requiring `id`: the fixed-layout read path of every
+  /// loader, for sections it parses or copies.
   Result<Section> ReadSectionExpect(uint32_t id);
 
-  bool mapped() const { return mapped_ != nullptr; }
-  /// Null for the stream backend.
-  const std::shared_ptr<const MappedArtifact>& mapped_artifact() const {
-    return mapped_;
-  }
+  /// ReadSectionExpect for a section the loader keeps as a view into
+  /// bytes(): the checksum is verified for a payload of at most
+  /// kMappedChecksumVerifyBytes, and for every payload of a heap
+  /// buffer; a bigger mapped payload is only bounds-checked.
+  Result<Section> BorrowSectionExpect(uint32_t id);
+
+  /// The bytes every payload view points into; a loader that keeps a
+  /// view holds this as its keepalive.
+  const std::shared_ptr<const ArtifactBytes>& bytes() const { return bytes_; }
 
  private:
+  ArtifactReader() = default;
+  Result<Section> Next(bool borrowed);
   Status GetU32(uint32_t* out, const char* what);
   Status GetU64(uint64_t* out, const char* what);
   Status SkipPadding();
 
-  std::istream* is_ = nullptr;
-  std::shared_ptr<const MappedArtifact> mapped_;
-  uint64_t pos_ = 0;  // absolute offset from the artifact's first byte
-  bool header_read_ = false;
+  std::shared_ptr<const ArtifactBytes> bytes_;
+  std::string_view window_;  // bytes_->view()
+  uint64_t pos_ = 0;         // absolute offset from the artifact's first byte
   ArtifactHeader header_;
 };
 
@@ -346,21 +333,14 @@ Status ExpectArtifact(const ArtifactHeader& header, ArtifactKind kind,
 /// unexpected trailing sections).
 Status ExpectEndOfArtifact(ArtifactReader& r);
 
-/// Opens `path` for binary writing (overwrites), runs `write` on the
-/// stream, and verifies the close — the shared file wrapper behind
-/// every SaveXxxFile entry point.
+/// Writes an artifact to `path` atomically: `write` fills a temporary
+/// file in the same directory, which is flushed, fsync'ed and renamed
+/// over `path` (then the directory is fsync'ed). A reader never sees a
+/// partial file, and a process that has `path` mapped keeps reading
+/// the old bytes. On any error the temporary file is removed and `path`
+/// is left as it was. Behind every SaveXxxFile entry point.
 Status WriteArtifactFile(const std::string& path,
                          const std::function<Status(std::ostream&)>& write);
-
-/// Opens `path` for binary reading and runs `read` on the stream,
-/// returning whatever it returns (a Status or any Result<T>).
-template <typename Fn>
-auto ReadArtifactFile(const std::string& path, Fn&& read)
-    -> decltype(read(std::declval<std::istream&>())) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IOError("cannot open " + path);
-  return read(is);
-}
 
 }  // namespace ganc
 

@@ -76,14 +76,14 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
 std::string CorruptLastRow(const std::string& path, const std::string& name) {
   std::string bytes = ReadBytes(path);
   std::istringstream is(bytes, std::ios::binary);
-  ArtifactReader r(is);
-  EXPECT_TRUE(r.ReadHeader().ok());
-  EXPECT_TRUE(r.ReadSectionExpect(1).ok());
-  EXPECT_TRUE(r.ReadSectionExpect(2).ok());
-  auto rows = r.ReadSectionExpect(6);
+  auto r = ArtifactReader::OpenStream(is);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r->ReadSectionExpect(1).ok());
+  EXPECT_TRUE(r->ReadSectionExpect(2).ok());
+  auto rows = r->ReadSectionExpect(6);
   EXPECT_TRUE(rows.ok());
-  const size_t size = rows->payload().size();
-  const size_t off = bytes.find(rows->payload());
+  const size_t size = rows->payload.size();
+  const size_t off = bytes.find(rows->payload);
   EXPECT_NE(off, std::string::npos);
   // Payload: u64 count, then (i32 item, f32 value) entries.
   bytes[off + size - 8 + 3] = static_cast<char>(0x7F);
@@ -217,7 +217,7 @@ TEST(PipelineIoTest, MappedCacheSavesByteIdenticalArtifact) {
   const RatingDataset eager = MakeData(80, 120, 5);
   const std::string cache = TestPath("pipeline_io_mapped.gdc");
   ASSERT_TRUE(eager.SaveBinaryFile(cache).ok());
-  auto mapped = RatingDataset::LoadMappedFile(cache);
+  auto mapped = RatingDataset::LoadFile(cache);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   mapped->set_train_budget_bytes(2048);
   const std::unique_ptr<GancPipeline> from_eager = MakePipeline(eager);
@@ -239,7 +239,7 @@ TEST(PipelineIoTest, MappedCacheStatCoverageMatchesEager) {
   const RatingDataset eager = MakeData(70, 110, 6);
   const std::string cache = TestPath("pipeline_io_stat.gdc");
   ASSERT_TRUE(eager.SaveBinaryFile(cache).ok());
-  auto mapped = RatingDataset::LoadMappedFile(cache);
+  auto mapped = RatingDataset::LoadFile(cache);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   PipelineConfig config;
   config.coverage = CoverageKind::kStat;
@@ -272,7 +272,7 @@ TEST(PipelineIoTest, CorruptMappedRowIsTypedError) {
   const std::string cache = TestPath("pipeline_io_intact.gdc");
   ASSERT_TRUE(eager.SaveBinaryFile(cache).ok());
   const std::string bad = CorruptLastRow(cache, "pipeline_io_badrow.gdc");
-  auto mapped = RatingDataset::LoadMappedFile(bad);
+  auto mapped = RatingDataset::LoadFile(bad);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   mapped->set_train_budget_bytes(2048);
 

@@ -271,7 +271,7 @@ TEST(GeneralizedPreferenceGoldenTest, MappedCacheMatchesReference) {
   const RatingDataset train = SplitTrain();
   const std::string path = ::testing::TempDir() + "/preference_golden.gdc";
   ASSERT_TRUE(train.SaveBinaryFile(path).ok());
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  auto mapped = RatingDataset::LoadFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   mapped->set_train_budget_bytes(4096);  // many row windows
   auto expected = ReferenceGeneralizedPreference(train, {});

@@ -1,6 +1,7 @@
-// Binary dataset cache: SaveBinary/LoadBinary must reproduce the saved
-// dataset exactly (dimensions, observation order, per-user and per-item
-// indexes) and reject corrupt or structurally invalid caches.
+// Binary dataset cache: SaveBinary then LoadBinary/LoadFile (plus
+// EnsureResident, which builds the derived indexes) must reproduce the
+// saved dataset exactly (dimensions, observation order, per-user and
+// per-item indexes) and reject corrupt or structurally invalid caches.
 
 #include "data/dataset.h"
 
@@ -40,6 +41,7 @@ RatingDataset Deserialize(const std::string& bytes) {
   std::istringstream is(bytes, std::ios::binary);
   auto ds = RatingDataset::LoadBinary(is);
   EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  EXPECT_TRUE(ds->EnsureResident().ok());
   return std::move(ds).value();
 }
 
@@ -125,14 +127,15 @@ TEST(DatasetCacheTest, FileRoundTrip) {
   const RatingDataset ds = MakeData();
   const std::string path = ::testing::TempDir() + "/ganc_cache_test.gdc";
   ASSERT_TRUE(ds.SaveBinaryFile(path).ok());
-  auto back = RatingDataset::LoadBinaryFile(path);
+  auto back = RatingDataset::LoadFile(path);
   ASSERT_TRUE(back.ok());
+  ASSERT_TRUE(back->EnsureResident().ok());
   ExpectIdentical(ds, *back);
   std::filesystem::remove(path);
 }
 
 TEST(DatasetCacheTest, MissingFileIsIOError) {
-  EXPECT_EQ(RatingDataset::LoadBinaryFile("/nonexistent/x.gdc").status().code(),
+  EXPECT_EQ(RatingDataset::LoadFile("/nonexistent/x.gdc").status().code(),
             StatusCode::kIOError);
 }
 

@@ -1,13 +1,15 @@
-// Mapped dataset cache: LoadMappedFile must expose exactly the dataset
-// the eager loader reconstructs (rows, indexes, fingerprint, ratings
-// order after EnsureResident), stay O(users) before residency, reject
-// corrupt row data at EnsureResident, and fall back cleanly through
-// LoadFileAuto for pre-v3 caches.
+// Loaded dataset cache: LoadFile (a mapping) must expose exactly the
+// dataset LoadBinary rebuilds from a stream of the same bytes and the
+// dataset that was saved (rows, indexes, fingerprint, ratings order
+// after EnsureResident), stay O(users) before residency, reject corrupt
+// row data at EnsureResident, and the bench forwarder LoadFileAuto must
+// make the dataset resident when asked not to prefer the mapping.
 
 #include "data/dataset.h"
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,17 +62,18 @@ void ExpectIdentical(const RatingDataset& a, const RatingDataset& b) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
-TEST(DatasetMmapTest, MappedEqualsEagerAfterResidency) {
+TEST(DatasetMmapTest, MappedEqualsStreamAfterResidency) {
   const RatingDataset original = MakeData();
   const std::string path = TestPath("dataset_mmap_parity.gdc");
   ASSERT_TRUE(original.SaveBinaryFile(path).ok());
 
-  auto eager = RatingDataset::LoadBinaryFile(path);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  std::ifstream is(path, std::ios::binary);
+  auto streamed = RatingDataset::LoadBinary(is);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  auto mapped = RatingDataset::LoadFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped->IsMapped());
-  EXPECT_FALSE(eager->IsMapped());
+  EXPECT_FALSE(streamed->IsMapped());
 
   // Pre-residency surface: dimensions, rows, activity, and the stored
   // fingerprint are available without touching derived indexes.
@@ -80,22 +83,25 @@ TEST(DatasetMmapTest, MappedEqualsEagerAfterResidency) {
   EXPECT_EQ(mapped->Activity(3), original.Activity(3));
 
   ASSERT_TRUE(mapped->EnsureResident().ok());
-  ExpectIdentical(*eager, *mapped);
+  ASSERT_TRUE(streamed->EnsureResident().ok());
+  ExpectIdentical(*streamed, *mapped);
   ExpectIdentical(original, *mapped);
 }
 
-TEST(DatasetMmapTest, LoadFileAutoPrefersAndFallsBack) {
+TEST(DatasetMmapTest, LoadFileAutoForwardsToLoadFile) {
   const RatingDataset original = MakeData();
   const std::string path = TestPath("dataset_mmap_auto.gdc");
   ASSERT_TRUE(original.SaveBinaryFile(path).ok());
 
-  auto preferred = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
-  ASSERT_TRUE(preferred.ok()) << preferred.status().ToString();
-  auto streamed = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/false);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_FALSE(streamed->IsMapped());
-  ASSERT_TRUE(preferred->EnsureResident().ok());
-  ExpectIdentical(*streamed, *preferred);
+  auto lazy = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/true);
+  ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+  EXPECT_FALSE(lazy->ResidencyMaterialized());
+  auto resident = RatingDataset::LoadFileAuto(path, /*prefer_mmap=*/false);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  EXPECT_TRUE(resident->IsMapped());
+  EXPECT_TRUE(resident->ResidencyMaterialized());
+  ASSERT_TRUE(lazy->EnsureResident().ok());
+  ExpectIdentical(*resident, *lazy);
 }
 
 TEST(DatasetMmapTest, TruncationIsATypedErrorNotUB) {
@@ -113,7 +119,7 @@ TEST(DatasetMmapTest, TruncationIsATypedErrorNotUB) {
     std::ofstream os(cut_path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(cut));
     os.close();
-    auto mapped = RatingDataset::LoadMappedFile(cut_path);
+    auto mapped = RatingDataset::LoadFile(cut_path);
     if (!mapped.ok()) continue;  // typed rejection at open
     // An open that survived must still fail validation, not crash.
     EXPECT_FALSE(mapped->EnsureResident().ok()) << "cut " << cut;
@@ -132,19 +138,19 @@ TEST(DatasetMmapTest, CorruptRowDataRejectedAtResidency) {
   }
   // Rows are the third section; find its payload by walking the reader
   // over the intact file, then smash an item id to a huge value. The
-  // rows section is > 1 MiB-free territory: small enough that the
-  // mapped reader still checksums it, so corrupt bytes surface at
-  // section read. To exercise the *structural* validation instead,
-  // rewrite the checksum to match the corrupted payload.
+  // rows section is well under 1 MiB: small enough that every load
+  // checksums it, so corrupt bytes surface at section read. To exercise
+  // the *structural* validation instead, rewrite the checksum to match
+  // the corrupted payload.
   std::istringstream is(bytes, std::ios::binary);
-  ArtifactReader r(is);
-  ASSERT_TRUE(r.ReadHeader().ok());
-  ASSERT_TRUE(r.ReadSectionExpect(1).ok());
-  ASSERT_TRUE(r.ReadSectionExpect(2).ok());
-  auto rows = r.ReadSectionExpect(6);
+  auto r = ArtifactReader::OpenStream(is);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->ReadSectionExpect(1).ok());
+  ASSERT_TRUE(r->ReadSectionExpect(2).ok());
+  auto rows = r->ReadSectionExpect(6);
   ASSERT_TRUE(rows.ok());
-  const size_t rows_payload_size = rows->payload().size();
-  const size_t rows_payload_off = bytes.find(rows->payload());
+  const size_t rows_payload_size = rows->payload.size();
+  const size_t rows_payload_off = bytes.find(rows->payload);
   ASSERT_NE(rows_payload_off, std::string::npos);
   // First row entry's item id: payload starts with the u64 count.
   const size_t item_off = rows_payload_off + 8;
@@ -160,7 +166,7 @@ TEST(DatasetMmapTest, CorruptRowDataRejectedAtResidency) {
     std::ofstream os(bad_path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  auto mapped = RatingDataset::LoadMappedFile(bad_path);
+  auto mapped = RatingDataset::LoadFile(bad_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   Status s = mapped->EnsureResident();
   ASSERT_FALSE(s.ok());
@@ -168,6 +174,12 @@ TEST(DatasetMmapTest, CorruptRowDataRejectedAtResidency) {
       << s.ToString();
   // The validation error is sticky: a second call reports it again.
   EXPECT_FALSE(mapped->EnsureResident().ok());
+  // A stream load of the same bytes defers the same check.
+  std::istringstream bad_is(bytes, std::ios::binary);
+  auto streamed = RatingDataset::LoadBinary(bad_is);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_NE(streamed->EnsureResident().ToString().find("out of range"),
+            std::string::npos);
 }
 
 TEST(DatasetMmapTest, StreamWriterOutputIsByteIdenticalToSaveBinary) {

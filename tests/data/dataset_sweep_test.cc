@@ -103,7 +103,7 @@ TEST(DatasetSweepTest, SweepContentIsBudgetInvariant) {
   const RatingDataset eager = MakeData();
   const std::string path = TestPath("dataset_sweep_parity.gdc");
   ASSERT_TRUE(eager.SaveBinaryFile(path).ok());
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  auto mapped = RatingDataset::LoadFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
   const std::vector<ItemRating> reference = SweptRows(eager, 0, 1);
@@ -147,14 +147,14 @@ TEST(DatasetSweepTest, SweepRejectsCorruptMappedRows) {
   // the sweep has to catch it (same construction as the EnsureResident
   // corrupt-row test).
   std::istringstream is(bytes, std::ios::binary);
-  ArtifactReader r(is);
-  ASSERT_TRUE(r.ReadHeader().ok());
-  ASSERT_TRUE(r.ReadSectionExpect(1).ok());
-  ASSERT_TRUE(r.ReadSectionExpect(2).ok());
-  auto rows = r.ReadSectionExpect(6);
+  auto r = ArtifactReader::OpenStream(is);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->ReadSectionExpect(1).ok());
+  ASSERT_TRUE(r->ReadSectionExpect(2).ok());
+  auto rows = r->ReadSectionExpect(6);
   ASSERT_TRUE(rows.ok());
-  const size_t rows_payload_size = rows->payload().size();
-  const size_t rows_payload_off = bytes.find(rows->payload());
+  const size_t rows_payload_size = rows->payload.size();
+  const size_t rows_payload_off = bytes.find(rows->payload);
   ASSERT_NE(rows_payload_off, std::string::npos);
   const size_t item_off = rows_payload_off + 8;  // skip the u64 count
   bytes[item_off + 3] = static_cast<char>(0x7F);  // item id becomes huge
@@ -170,7 +170,7 @@ TEST(DatasetSweepTest, SweepRejectsCorruptMappedRows) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  auto mapped = RatingDataset::LoadFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   const Status swept =
       mapped->SweepRowWindows(1024, 1, [](const RowWindow&) {

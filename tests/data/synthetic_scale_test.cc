@@ -80,16 +80,18 @@ TEST(SyntheticScaleTest, OutputLoadsWithMatchingFingerprintAndBounds) {
   auto nnz = GenerateSyntheticStream(spec, path);
   ASSERT_TRUE(nnz.ok());
 
-  // Mapped and eager loads agree; the stored fingerprint matches a
+  // Mapped and stream loads agree; the stored fingerprint matches a
   // from-scratch recomputation over the loaded rows.
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  auto mapped = RatingDataset::LoadFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   ASSERT_TRUE(mapped->EnsureResident().ok());
-  auto eager = RatingDataset::LoadBinaryFile(path);
-  ASSERT_TRUE(eager.ok());
+  std::ifstream is(path, std::ios::binary);
+  auto streamed = RatingDataset::LoadBinary(is);
+  ASSERT_TRUE(streamed.ok());
+  ASSERT_TRUE(streamed->EnsureResident().ok());
   EXPECT_EQ(mapped->num_ratings(), *nnz);
-  EXPECT_EQ(eager->num_ratings(), *nnz);
-  EXPECT_EQ(mapped->Fingerprint(), eager->Fingerprint());
+  EXPECT_EQ(streamed->num_ratings(), *nnz);
+  EXPECT_EQ(mapped->Fingerprint(), streamed->Fingerprint());
 
   RatingDatasetBuilder rebuild(mapped->num_users(), mapped->num_items());
   for (UserId u = 0; u < mapped->num_users(); ++u) {
@@ -120,8 +122,9 @@ TEST(SyntheticScaleTest, ZipfHeadDominatesTail) {
   const ScaleSyntheticSpec spec = SmallSpec();
   const std::string path = TestPath("scale_zipf.gdc");
   ASSERT_TRUE(GenerateSyntheticStream(spec, path).ok());
-  auto ds = RatingDataset::LoadBinaryFile(path);
+  auto ds = RatingDataset::LoadFile(path);
   ASSERT_TRUE(ds.ok());
+  ASSERT_TRUE(ds->EnsureResident().ok());
 
   // Item ids are popularity rank (0 most popular). The head 10% of the
   // catalog must hold well over its uniform share of ratings, and the

@@ -85,6 +85,26 @@ double OverlapAtK(const std::vector<ItemId>& a, const std::vector<ItemId>& b) {
 // FactorStore unit tier: conversions, resident bytes, payload parsing.
 // ---------------------------------------------------------------------
 
+// Loads a factor-table payload the way a model Load does: as the
+// borrowed section of a one-section artifact, here buffered from a
+// stream (so the store's tables point into that buffer).
+Status LoadPayload(const std::string& payload, FactorStore* store) {
+  PayloadWriter section;
+  section.WriteBytes(payload.data(), payload.size());
+  std::ostringstream os(std::ios::binary);
+  ArtifactWriter w(os);
+  GANC_RETURN_NOT_OK(w.WriteHeader(ArtifactKind::kModel, 0));
+  GANC_RETURN_NOT_OK(w.WriteSection(kFactorTableSection, section));
+  GANC_RETURN_NOT_OK(w.Finish());
+  std::istringstream is(os.str(), std::ios::binary);
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  if (!r.ok()) return r.status();
+  Result<ArtifactReader::Section> sec =
+      r->BorrowSectionExpect(kFactorTableSection);
+  if (!sec.ok()) return sec.status();
+  return store->Load(*r, *sec);
+}
+
 FactorStore MakeStore(size_t user_rows, size_t item_rows, size_t g) {
   std::vector<double> p(user_rows * g);
   std::vector<double> q(item_rows * g);
@@ -153,11 +173,9 @@ TEST(FactorStoreTest, PayloadRoundTripsEveryPrecision) {
     ASSERT_TRUE(store.SetPrecision(precision).ok());
     PayloadWriter w;
     store.Save(&w);
-    PayloadReader r(w.buffer());
     FactorStore loaded;
-    ASSERT_TRUE(loaded.Load(&r, /*aligned=*/true).ok())
+    ASSERT_TRUE(LoadPayload(w.buffer(), &loaded).ok())
         << FactorPrecisionName(precision);
-    ASSERT_TRUE(r.AtEnd());
     EXPECT_EQ(loaded.precision(), precision);
     EXPECT_EQ(loaded.num_factors(), store.num_factors());
     EXPECT_EQ(loaded.user_rows(), store.user_rows());
@@ -172,9 +190,8 @@ TEST(FactorStoreTest, LoadRejectsUnknownPrecisionTag) {
   store.Save(&w);
   std::string corrupted = w.buffer();
   corrupted[0] = static_cast<char>(9);  // no such precision
-  PayloadReader r(corrupted);
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/true);
+  const Status s = LoadPayload(corrupted, &loaded);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("unknown precision tag 9"), std::string::npos);
 }
@@ -186,9 +203,8 @@ TEST(FactorStoreTest, LoadRejectsTruncatedQuantizedSection) {
   store.Save(&w);
   const std::string full = w.buffer();
   const std::string truncated = full.substr(0, full.size() / 2);
-  PayloadReader r(truncated);
   FactorStore loaded;
-  EXPECT_FALSE(loaded.Load(&r, /*aligned=*/true).ok());
+  EXPECT_FALSE(LoadPayload(truncated, &loaded).ok());
 }
 
 TEST(FactorStoreTest, LoadRejectsShortQuantizationSideTable) {
@@ -202,17 +218,24 @@ TEST(FactorStoreTest, LoadRejectsShortQuantizationSideTable) {
   w.WriteU64(g);
   w.WriteU64(user_rows);
   w.WriteU64(item_rows);
+  w.AlignTo(8);
   w.WriteVecI8(std::vector<int8_t>(user_rows * g, 1));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(user_rows - 1, 0.5f));  // short scale
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(user_rows, 0.0f));
+  w.AlignTo(8);
   w.WriteVecI32(std::vector<int32_t>(user_rows, 3));
+  w.AlignTo(8);
   w.WriteVecI8(std::vector<int8_t>(item_rows * g, 1));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(item_rows, 0.5f));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(item_rows, 0.0f));
+  w.AlignTo(8);
   w.WriteVecI32(std::vector<int32_t>(item_rows, 3));
-  PayloadReader r(w.buffer());
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/false);
+  const Status s = LoadPayload(w.buffer(), &loaded);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find(
                 "user quantization side tables (scale/center/qsum) have "
@@ -227,13 +250,16 @@ TEST(FactorStoreTest, LoadRejectsWrongCodeTableLength) {
   w.WriteU64(g);
   w.WriteU64(2);  // user rows
   w.WriteU64(2);  // item rows
+  w.AlignTo(8);
   w.WriteVecI8(std::vector<int8_t>(2 * g + 1, 1));  // one code too many
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(2, 0.5f));
+  w.AlignTo(8);
   w.WriteVecF32(std::vector<float>(2, 0.0f));
+  w.AlignTo(8);
   w.WriteVecI32(std::vector<int32_t>(2, 3));
-  PayloadReader r(w.buffer());
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/false);
+  const Status s = LoadPayload(w.buffer(), &loaded);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("user int8 code table has wrong length"),
             std::string::npos);
@@ -245,9 +271,8 @@ TEST(FactorStoreTest, LoadRejectsEmptyDimensions) {
   w.WriteU64(0);  // g = 0
   w.WriteU64(2);
   w.WriteU64(2);
-  PayloadReader r(w.buffer());
   FactorStore loaded;
-  const Status s = loaded.Load(&r, /*aligned=*/false);
+  const Status s = LoadPayload(w.buffer(), &loaded);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("empty dimensions"), std::string::npos);
 }

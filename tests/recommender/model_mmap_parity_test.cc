@@ -1,8 +1,8 @@
-// Mapped model loads: for every recommender, LoadModelFileMapped must
+// Mapped model loads: for every recommender, LoadModelFile must
 // reproduce the stream loader's scores bit-for-bit and its top-N lists
 // exactly — zero-copy factor borrowing is an optimization, never an
-// observable behavior change. Auto selection must prefer the mapping
-// for v3 files and fall back to the stream path on request.
+// observable behavior change. A mapped model must survive its file
+// being re-saved in place: saves write a new file and rename it.
 
 #include "recommender/model_io.h"
 
@@ -98,10 +98,11 @@ TEST(ModelMmapParityTest, AllModelsScoreBitIdenticallyMappedVsStream) {
         TestPath(std::string("mmap_parity_") + fitted->name() + ".gam");
     ASSERT_TRUE(SaveModelFile(*fitted, path).ok()) << fitted->name();
 
-    auto streamed = LoadModelFile(path, &train);
+    std::ifstream is(path, std::ios::binary);
+    auto streamed = LoadModel(is, &train);
     ASSERT_TRUE(streamed.ok())
         << fitted->name() << ": " << streamed.status().ToString();
-    auto mapped = LoadModelFileMapped(path, &train);
+    auto mapped = LoadModelFile(path, &train);
     ASSERT_TRUE(mapped.ok())
         << fitted->name() << ": " << mapped.status().ToString();
 
@@ -117,19 +118,28 @@ TEST(ModelMmapParityTest, AllModelsScoreBitIdenticallyMappedVsStream) {
   }
 }
 
-TEST(ModelMmapParityTest, AutoLoaderPrefersMappingAndFallsBack) {
+TEST(ModelMmapParityTest, HeldModelSurvivesAnInPlaceResave) {
+  // A served model keeps its file mapped. Re-saving a different (and
+  // smaller) model to the same path must neither change what the held
+  // model scores nor crash it; a fresh load sees the new model.
   const RatingDataset train = MakeData();
-  PsvdRecommender model(PsvdConfig{.num_factors = 9});
-  ASSERT_TRUE(model.Fit(train).ok());
-  const std::string path = TestPath("mmap_auto.gam");
-  ASSERT_TRUE(SaveModelFile(model, path).ok());
+  PsvdRecommender big(PsvdConfig{.num_factors = 12});
+  PsvdRecommender small(PsvdConfig{.num_factors = 2});
+  ASSERT_TRUE(big.Fit(train).ok());
+  ASSERT_TRUE(small.Fit(train).ok());
+  const std::string path = TestPath("mmap_resave.gam");
+  ASSERT_TRUE(SaveModelFile(big, path).ok());
+  auto held = LoadModelFile(path, &train);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
 
-  auto via_mmap = LoadModelFileAuto(path, /*prefer_mmap=*/true, &train);
-  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
-  auto via_stream = LoadModelFileAuto(path, /*prefer_mmap=*/false, &train);
-  ASSERT_TRUE(via_stream.ok()) << via_stream.status().ToString();
-  ExpectBitIdentical(BatchScores(**via_mmap, train),
-                     BatchScores(**via_stream, train), "auto");
+  ASSERT_TRUE(SaveModelFile(small, path).ok());
+  ExpectBitIdentical(BatchScores(big, train), BatchScores(**held, train),
+                     "held model after re-save");
+  auto fresh = LoadModelFile(path, &train);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectBitIdentical(BatchScores(small, train), BatchScores(**fresh, train),
+                     "fresh load after re-save");
+  std::remove(path.c_str());
 }
 
 TEST(ModelMmapParityTest, MappedLoadRejectsCorruptArtifact) {
@@ -151,7 +161,7 @@ TEST(ModelMmapParityTest, MappedLoadRejectsCorruptArtifact) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
   }
-  EXPECT_FALSE(LoadModelFileMapped(path, &train).ok());
+  EXPECT_FALSE(LoadModelFile(path, &train).ok());
 
   // Truncations through the mapped loader are typed errors too.
   for (const size_t keep :
@@ -159,7 +169,7 @@ TEST(ModelMmapParityTest, MappedLoadRejectsCorruptArtifact) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(keep));
     os.close();
-    EXPECT_FALSE(LoadModelFileMapped(path, &train).ok()) << "kept " << keep;
+    EXPECT_FALSE(LoadModelFile(path, &train).ok()) << "kept " << keep;
   }
   std::remove(path.c_str());
 }
@@ -173,9 +183,9 @@ TEST(ModelMmapParityTest, MappedLoadRequiresDatasetBindingToo) {
   ASSERT_TRUE(knn.Fit(train).ok());
   const std::string path = TestPath("mmap_binding.gam");
   ASSERT_TRUE(SaveModelFile(knn, path).ok());
-  EXPECT_EQ(LoadModelFileMapped(path, nullptr).status().code(),
+  EXPECT_EQ(LoadModelFile(path, nullptr).status().code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(LoadModelFileMapped(path, &train).ok());
+  ASSERT_TRUE(LoadModelFile(path, &train).ok());
   std::remove(path.c_str());
 }
 

@@ -86,7 +86,7 @@ TEST(TrainOutOfCoreParityTest, MappedBudgetedFitMatchesResidentFit) {
   const RatingDataset eager = MakeData();
   const std::string path = TestPath("train_outofcore_parity.gdc");
   ASSERT_TRUE(eager.SaveBinaryFile(path).ok());
-  auto mapped = RatingDataset::LoadMappedFile(path);
+  auto mapped = RatingDataset::LoadFile(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   // ~4KiB of resident rows per window: many windows per epoch.
   mapped->set_train_budget_bytes(4096);
@@ -128,7 +128,7 @@ TEST(TrainOutOfCoreParityTest, FitIsBudgetInvariant) {
     reference.push_back(FitAndSerialize(*model, eager, nullptr));
   }
   for (const int64_t budget : {int64_t{512}, int64_t{1} << 14}) {
-    auto mapped = RatingDataset::LoadMappedFile(path);
+    auto mapped = RatingDataset::LoadFile(path);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     mapped->set_train_budget_bytes(budget);
     auto models = MakeModels();

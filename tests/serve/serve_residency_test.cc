@@ -57,18 +57,17 @@ TEST(ServeResidencyTest, StoreBackedServingNeverMaterializesMappedDataset) {
   }
 
   // Cold start the serving process shape: everything mapped.
-  auto train = RatingDataset::LoadFileAuto(cache_path, /*prefer_mmap=*/true);
+  auto train = RatingDataset::LoadFile(cache_path);
   ASSERT_TRUE(train.ok()) << train.status().ToString();
   ASSERT_TRUE(train->IsMapped());
   ServiceConfig config;
   config.micro_batching = false;
   config.cache_capacity = 0;  // exercise the store path, not the LRU
-  config.mmap_artifacts = true;
   config.metrics = std::make_shared<MetricsRegistry>();
   auto service =
       RecommendationService::LoadModelService(model_path, *train, config);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  auto store = TopNStore::LoadFileAuto(store_path, /*prefer_mmap=*/true);
+  auto store = TopNStore::LoadFile(store_path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE(
       (*service)

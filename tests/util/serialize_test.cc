@@ -1,6 +1,9 @@
 #include "util/serialize.h"
 
 #include <bit>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -157,39 +160,36 @@ TEST(ArtifactTest, HeaderAndSectionsRoundTrip) {
   const std::string artifact = WriteArtifact(
       ArtifactKind::kModel, 42, {{1, "config"}, {2, "state-bytes"}});
   std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  ASSERT_TRUE(header.ok());
-  EXPECT_EQ(header->version, kGancFormatVersion);
-  EXPECT_EQ(header->kind, static_cast<uint32_t>(ArtifactKind::kModel));
-  EXPECT_EQ(header->type_tag, 42u);
-  Result<ArtifactReader::Section> s1 = r.ReadSectionExpect(1);
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->header().version, kGancFormatVersion);
+  EXPECT_EQ(r->header().kind, static_cast<uint32_t>(ArtifactKind::kModel));
+  EXPECT_EQ(r->header().type_tag, 42u);
+  Result<ArtifactReader::Section> s1 = r->ReadSectionExpect(1);
   ASSERT_TRUE(s1.ok());
-  EXPECT_EQ(s1->payload(), "config");
-  Result<ArtifactReader::Section> s2 = r.ReadSectionExpect(2);
+  EXPECT_EQ(s1->payload, "config");
+  Result<ArtifactReader::Section> s2 = r->ReadSectionExpect(2);
   ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(s2->payload(), "state-bytes");
-  EXPECT_TRUE(ExpectEndOfArtifact(r).ok());
+  EXPECT_EQ(s2->payload, "state-bytes");
+  EXPECT_TRUE(ExpectEndOfArtifact(*r).ok());
 }
 
 TEST(ArtifactTest, BadMagicRejected) {
   std::string artifact = WriteArtifact(ArtifactKind::kModel, 1, {});
   artifact[0] ^= 0x5A;
   std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  ASSERT_FALSE(header.ok());
-  EXPECT_NE(header.status().message().find("magic"), std::string::npos);
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("magic"), std::string::npos);
 }
 
 TEST(ArtifactTest, WrongVersionRejected) {
   std::string artifact = WriteArtifact(ArtifactKind::kModel, 1, {});
   artifact[8] = static_cast<char>(kGancFormatVersion + 1);  // version field
   std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
-  Result<ArtifactHeader> header = r.ReadHeader();
-  ASSERT_FALSE(header.ok());
-  EXPECT_NE(header.status().message().find("version"), std::string::npos);
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("version"), std::string::npos);
 }
 
 TEST(ArtifactTest, CorruptSectionPayloadRejected) {
@@ -199,9 +199,9 @@ TEST(ArtifactTest, CorruptSectionPayloadRejected) {
   // the 64-byte payload boundary; flip a payload byte.
   artifact[64 + 3] ^= 0x5A;
   std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
-  ASSERT_TRUE(r.ReadHeader().ok());
-  Result<ArtifactReader::Section> s = r.ReadSection();
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  ASSERT_TRUE(r.ok());
+  Result<ArtifactReader::Section> s = r->ReadSection();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.status().message().find("checksum"), std::string::npos);
 }
@@ -212,9 +212,9 @@ TEST(ArtifactTest, CorruptSectionPaddingRejected) {
   // A nonzero byte inside the v3 alignment padding is corruption too.
   artifact[24 + 12 + 3] ^= 0x5A;
   std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
-  ASSERT_TRUE(r.ReadHeader().ok());
-  Result<ArtifactReader::Section> s = r.ReadSection();
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  ASSERT_TRUE(r.ok());
+  Result<ArtifactReader::Section> s = r->ReadSection();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.status().message().find("padding"), std::string::npos);
 }
@@ -224,12 +224,12 @@ TEST(ArtifactTest, TruncatedSectionRejected) {
                                        {{1, "payload-bytes"}});
   artifact.resize(artifact.size() - 30);
   std::istringstream is(artifact, std::ios::binary);
-  ArtifactReader r(is);
-  ASSERT_TRUE(r.ReadHeader().ok());
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  ASSERT_TRUE(r.ok());
   // Either the payload or the end marker is gone; both must error, never
   // return garbage.
-  Result<ArtifactReader::Section> s = r.ReadSection();
-  if (s.ok()) EXPECT_FALSE(ExpectEndOfArtifact(r).ok());
+  Result<ArtifactReader::Section> s = r->ReadSection();
+  if (s.ok()) EXPECT_FALSE(ExpectEndOfArtifact(*r).ok());
 }
 
 TEST(ArtifactTest, KindAndTagMismatchDetected) {
@@ -249,10 +249,10 @@ TEST(ArtifactTest, MissingEndMarkerDetected) {
   ASSERT_TRUE(w.WriteSection(1, payload).ok());
   // No Finish(): reading past the section must fail, not hang or succeed.
   std::istringstream is(os.str(), std::ios::binary);
-  ArtifactReader r(is);
-  ASSERT_TRUE(r.ReadHeader().ok());
-  ASSERT_TRUE(r.ReadSectionExpect(1).ok());
-  EXPECT_FALSE(ExpectEndOfArtifact(r).ok());
+  Result<ArtifactReader> r = ArtifactReader::OpenStream(is);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->ReadSectionExpect(1).ok());
+  EXPECT_FALSE(ExpectEndOfArtifact(*r).ok());
 }
 
 TEST(ArtifactTest, SectionIdZeroReservedForEndMarker) {
@@ -261,6 +261,66 @@ TEST(ArtifactTest, SectionIdZeroReservedForEndMarker) {
   ASSERT_TRUE(w.WriteHeader(ArtifactKind::kModel, 1).ok());
   PayloadWriter payload;
   EXPECT_FALSE(w.WriteSection(kEndSectionId, payload).ok());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+// Every file in `dir` other than `keep`.
+std::vector<std::string> OtherFiles(const std::string& dir,
+                                    const std::string& keep) {
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().filename() != keep) out.push_back(e.path().string());
+  }
+  return out;
+}
+
+TEST(ArtifactFileTest, WriteReplacesTheFileAtomically) {
+  const std::string dir = ::testing::TempDir() + "/ganc_atomic_write";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/a.gam";
+  const std::string first =
+      WriteArtifact(ArtifactKind::kModel, 1, {{1, "first"}});
+  const std::string second =
+      WriteArtifact(ArtifactKind::kModel, 1, {{1, "second, longer"}});
+  const auto write = [](const std::string& bytes) {
+    return [&bytes](std::ostream& os) {
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      return Status::OK();
+    };
+  };
+  ASSERT_TRUE(WriteArtifactFile(path, write(first)).ok());
+  EXPECT_EQ(FileBytes(path), first);
+
+  // A reader that mapped the old file keeps seeing the old bytes: the
+  // new file is a new inode, renamed over the path.
+  Result<ArtifactReader> held = ArtifactReader::OpenFile(path);
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(WriteArtifactFile(path, write(second)).ok());
+  EXPECT_EQ(held->bytes()->view(), first);
+  EXPECT_EQ(FileBytes(path), second);
+  EXPECT_TRUE(OtherFiles(dir, "a.gam").empty());
+
+  // A write callback that fails after writing some bytes leaves the old
+  // file as it was and no temporary file behind.
+  const Status failed = WriteArtifactFile(path, [](std::ostream& os) {
+    os << "partial";
+    return Status::IOError("disk full");
+  });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.message().find("disk full"), std::string::npos);
+  EXPECT_EQ(FileBytes(path), second);
+  EXPECT_TRUE(OtherFiles(dir, "a.gam").empty());
+
+  // So does a path whose directory does not exist.
+  EXPECT_EQ(WriteArtifactFile(dir + "/missing/b.gam", write(first)).code(),
+            StatusCode::kIOError);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

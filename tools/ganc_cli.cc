@@ -89,16 +89,16 @@ void Usage() {
       "    [--dataset=ml100k|ml1m|ml10m|mt200k|netflix|tiny]\n"
       "    [--ratings-file=PATH --delimiter=, --skip-header]\n"
       "    [--dataset-cache=PATH]   (binary cache from `cache-dataset`)\n"
-      "    [--kappa=0.5] [--seed=42] [--mmap=true]\n"
-      "    --mmap controls zero-copy file mapping of v3 artifacts\n"
-      "    (dataset caches and model loads); --kappa=1 serves the whole\n"
-      "    corpus as the train split without a materializing re-split.\n"
+      "    [--kappa=0.5] [--seed=42]\n"
+      "    Artifacts are opened as zero-copy file mappings; --kappa=1\n"
+      "    serves the whole corpus as the train split without a\n"
+      "    materializing re-split.\n"
       "\n"
       "cache-dataset:  --out=PATH  (writes the binary dataset cache)\n"
       "\n"
       "synth:          --out=PATH --users=N [--items=N]\n"
       "                [--mean-activity=24] [--seed=1] [--threads=1]\n"
-      "                Streams a power-law scale corpus into a v3 dataset\n"
+      "                Streams a power-law scale corpus into a dataset\n"
       "                cache with O(users) memory; byte-identical output\n"
       "                for any --threads value.\n"
       "\n"
@@ -569,8 +569,8 @@ int Recommend(const Flags& flags) {
       return 1;
     }
     WallTimer load_timer;
-    Result<std::unique_ptr<Recommender>> loaded = LoadModelFileAuto(
-        model_in, flags.GetBool("mmap", true), &train);
+    Result<std::unique_ptr<Recommender>> loaded =
+        LoadModelFile(model_in, &train);
     if (!loaded.ok()) {
       std::fprintf(stderr, "load-model: %s\n",
                    loaded.status().ToString().c_str());
@@ -664,7 +664,6 @@ Result<std::unique_ptr<RecommendationService>> BuildService(
   config.micro_batching = false;  // offline dumps: no scheduler threads
   config.cache_capacity = 0;
   config.default_n = default_n;
-  config.mmap_artifacts = flags.GetBool("mmap", true);
   Result<FactorPrecision> precision = FactorPrecisionFlag(flags);
   if (!precision.ok()) return precision.status();
   config.factor_precision = *precision;
@@ -825,7 +824,6 @@ int Replay(const Flags& flags) {
   config.micro_batching = false;  // deterministic offline replay
   config.cache_capacity = 0;
   config.default_n = static_cast<int>(*top_n);
-  config.mmap_artifacts = flags.GetBool("mmap", true);
   Result<FactorPrecision> precision = FactorPrecisionFlag(flags);
   if (!precision.ok()) {
     std::fprintf(stderr, "%s\n", precision.status().ToString().c_str());
@@ -992,7 +990,7 @@ int PrecomputeTopN(const Flags& flags) {
   return 0;
 }
 
-// `synth`: stream a power-law scale corpus straight into a v3 dataset
+// `synth`: stream a power-law scale corpus straight into a dataset
 // cache. O(users) memory regardless of the rating count, so the 1M-user
 // harness point never holds its ~24M ratings in RAM.
 int Synth(const Flags& flags) {
@@ -1086,9 +1084,9 @@ void PrintRowParamSummary(const char* label, const std::vector<float>& v) {
 
 // Decodes a latent-factor model's factor-table section: the scalar
 // header is shared by every precision; int8 adds per-row quantization
-// side tables worth summarizing. v3 payloads 8-align each table (the
-// zero-copy mmap requirement); v2 payloads are packed.
-Status InspectFactorSection(uint32_t version, std::string_view payload) {
+// side tables worth summarizing. Each table is 8-aligned (what lets a
+// load borrow it in place).
+Status InspectFactorSection(std::string_view payload) {
   PayloadReader r(payload);
   uint8_t tag = 0;
   uint64_t g = 0;
@@ -1107,12 +1105,8 @@ Status InspectFactorSection(uint32_t version, std::string_view payload) {
       "    factor tables: %s, g=%llu, %llu user rows, %llu item rows%s\n",
       FactorPrecisionName(precision), static_cast<unsigned long long>(g),
       static_cast<unsigned long long>(user_rows),
-      static_cast<unsigned long long>(item_rows),
-      version >= 3 ? ", 8-aligned" : ", packed (v2)");
-  const bool aligned = version >= 3;
-  const auto skip = [&]() -> Status {
-    return aligned ? r.SkipAlign(8) : Status::OK();
-  };
+      static_cast<unsigned long long>(item_rows), ", 8-aligned");
+  const auto skip = [&]() -> Status { return r.SkipAlign(8); };
   switch (precision) {
     case FactorPrecision::kFp64: {
       for (const char* side : {"user", "item"}) {
@@ -1163,20 +1157,17 @@ Status InspectFactorSection(uint32_t version, std::string_view payload) {
 
 // `inspect`: dump an artifact's header and section table using the
 // validating reader, so a broken file is diagnosed instead of decoded.
+// Every section's checksum is verified, bulk ones included: this is the
+// whole-file check that loads skip for big borrowed sections.
 int Inspect(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  Result<ArtifactReader> reader = ArtifactReader::OpenFile(path);
+  if (!reader.ok()) {
+    std::fprintf(stderr, "header: %s\n", reader.status().ToString().c_str());
     return 1;
   }
-  ArtifactReader reader(is);
-  Result<ArtifactHeader> header = reader.ReadHeader();
-  if (!header.ok()) {
-    std::fprintf(stderr, "header: %s\n", header.status().ToString().c_str());
-    return 1;
-  }
+  const ArtifactHeader& header = reader->header();
   const char* kind_name = "?";
-  switch (static_cast<ArtifactKind>(header->kind)) {
+  switch (static_cast<ArtifactKind>(header.kind)) {
     case ArtifactKind::kModel:
       kind_name = "model";
       break;
@@ -1191,8 +1182,8 @@ int Inspect(const std::string& path) {
       break;
   }
   const char* model_name = nullptr;
-  if (static_cast<ArtifactKind>(header->kind) == ArtifactKind::kModel) {
-    switch (static_cast<ModelType>(header->type_tag)) {
+  if (static_cast<ArtifactKind>(header.kind) == ArtifactKind::kModel) {
+    switch (static_cast<ModelType>(header.type_tag)) {
       case ModelType::kPop: model_name = "Pop"; break;
       case ModelType::kRandom: model_name = "Random"; break;
       case ModelType::kRandomWalk: model_name = "RP3b"; break;
@@ -1204,20 +1195,19 @@ int Inspect(const std::string& path) {
       case ModelType::kCofi: model_name = "CofiRank"; break;
     }
   }
-  std::printf("%s: GANC artifact, format version %u%s\n", path.c_str(),
-              header->version,
-              header->version >= 3
-                  ? " (64-byte aligned payloads, mmap-able)"
-                  : " (packed payloads, stream-only)");
-  std::printf("  kind: %u (%s)\n", header->kind, kind_name);
+  std::printf(
+      "%s: GANC artifact, format version %u (64-byte aligned payloads, "
+      "mmap-able)\n",
+      path.c_str(), header.version);
+  std::printf("  kind: %u (%s)\n", header.kind, kind_name);
   if (model_name != nullptr) {
-    std::printf("  type tag: %u (%s)\n", header->type_tag, model_name);
+    std::printf("  type tag: %u (%s)\n", header.type_tag, model_name);
   } else {
-    std::printf("  type tag: %u\n", header->type_tag);
+    std::printf("  type tag: %u\n", header.type_tag);
   }
   size_t total_payload = 0;
   for (int section = 0;; ++section) {
-    Result<ArtifactReader::Section> s = reader.ReadSection();
+    Result<ArtifactReader::Section> s = reader->ReadSection();
     if (!s.ok()) {
       std::fprintf(stderr, "section %d: %s\n", section,
                    s.status().ToString().c_str());
@@ -1225,14 +1215,14 @@ int Inspect(const std::string& path) {
     }
     if (s->id == kEndSectionId) break;
     // ReadSection already verified the stored checksum matches this.
-    const uint64_t checksum = Fnv1aHash(s->payload().data(), s->payload().size());
+    const uint64_t checksum = Fnv1aHash(s->payload.data(), s->payload.size());
     std::printf("  section %u: %zu bytes, fnv1a %016llx (verified)\n", s->id,
-                s->payload().size(),
+                s->payload.size(),
                 static_cast<unsigned long long>(checksum));
-    total_payload += s->payload().size();
-    const auto kind = static_cast<ArtifactKind>(header->kind);
+    total_payload += s->payload.size();
+    const auto kind = static_cast<ArtifactKind>(header.kind);
     if (kind == ArtifactKind::kModel && s->id == kFactorTableSection) {
-      if (Status fs = InspectFactorSection(header->version, s->payload());
+      if (Status fs = InspectFactorSection(s->payload);
           !fs.ok()) {
         std::fprintf(stderr, "  factor table decode: %s\n",
                      fs.ToString().c_str());
@@ -1241,7 +1231,7 @@ int Inspect(const std::string& path) {
     }
     if (kind == ArtifactKind::kDatasetCache && s->id == 1) {
       // Dataset-cache dims section: [users i32][items i32][nnz i64].
-      PayloadReader dr(s->payload());
+      PayloadReader dr(s->payload);
       int32_t nu = 0;
       int32_t ni = 0;
       int64_t nr = 0;
@@ -1267,9 +1257,9 @@ int main(int argc, char** argv) {
       "threads",       "theta-out",    "output",        "out",
       "save-model",    "save-pipeline", "load-model",   "load-pipeline",
       "users",         "head-users",   "factor-precision", "list",
-      "mmap",          "items",        "mean-activity", "verbose",
-      "requests",      "shards",       "train-memory-budget", "port",
-      "host",          "help"};
+      "items",         "mean-activity", "verbose",      "requests",
+      "shards",        "train-memory-budget", "port",   "host",
+      "help"};
   Result<Flags> flags = Flags::Parse(argc, argv, known);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());

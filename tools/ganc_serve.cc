@@ -98,11 +98,9 @@ void Usage() {
       "    [--factor-precision=fp64|fp32|int8]  (compact the snapshot's\n"
       "                        factor tables after load; fp64 = keep the\n"
       "                        artifact's own precision)\n"
-      "    [--mmap=true]      (open v3 dataset-cache/model/store\n"
-      "                        artifacts as zero-copy file mappings;\n"
-      "                        --mmap=false forces eager stream loads.\n"
-      "                        Mapped serving wants --kappa=1, which\n"
-      "                        skips the materializing split rebuild)\n"
+      "    (dataset-cache/model/store artifacts are opened as zero-copy\n"
+      "     file mappings; mapped serving wants --kappa=1, which skips\n"
+      "     the materializing split rebuild)\n"
       "\n"
       "serving:\n"
       "    [--default-n=10]   (list length when a request omits n=)\n"
@@ -351,7 +349,7 @@ std::vector<std::string> ChildArgs(const Flags& flags) {
       "seed",          "model",         "pipeline",
       "store",         "workers",       "batch-wait-us",
       "cache-capacity", "default-n",    "unbatched",
-      "factor-precision", "mmap"};
+      "factor-precision"};
   std::vector<std::string> args;
   for (const char* name : kForward) {
     if (!flags.Has(name)) continue;
@@ -444,7 +442,6 @@ int Run(const Flags& flags) {
     return 2;
   }
   config.factor_precision = *precision;
-  config.mmap_artifacts = flags.GetBool("mmap", true);
 
   const SnapshotKind kind =
       model_path.empty() ? SnapshotKind::kPipeline : SnapshotKind::kModel;
@@ -510,8 +507,7 @@ int Run(const Flags& flags) {
   // Children attach their own segments from the forwarded --store.
   const std::string store_path = flags.GetString("store", "");
   if (!store_path.empty() && !multiprocess) {
-    Result<TopNStore> store =
-        TopNStore::LoadFileAuto(store_path, config.mmap_artifacts);
+    Result<TopNStore> store = TopNStore::LoadFile(store_path);
     if (!store.ok()) {
       std::fprintf(stderr, "store: %s\n", store.status().ToString().c_str());
       return 1;
@@ -635,9 +631,8 @@ int main(int argc, char** argv) {
       "dataset-cache",  "kappa",        "seed",        "model",
       "pipeline",       "store",        "port",        "workers",
       "batch-wait-us",  "cache-capacity", "default-n", "unbatched",
-      "factor-precision", "daemon",     "mmap",        "shards",
-      "multiprocess",   "shard",        "watch",       "watch-interval-ms",
-      "help"};
+      "factor-precision", "daemon",     "shards",      "multiprocess",
+      "shard",          "watch",        "watch-interval-ms", "help"};
   Result<Flags> flags = Flags::Parse(argc, argv, known);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
