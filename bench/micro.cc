@@ -1,5 +1,5 @@
 // google-benchmark micro-benchmarks for the performance-critical kernels:
-// greedy top-N selection, Dyn coverage updates, KDE sampling, one SGD
+// GANC's fused top-N selection, Dyn coverage updates, KDE sampling, one SGD
 // epoch, metric evaluation, theta^G iterations, and the blocked
 // multi-user scoring engine.
 //
@@ -79,19 +79,46 @@ void BM_SelectTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectTopK)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_GreedyTopNForUser(benchmark::State& state) {
-  const RatingDataset& train = BenchTrain();
-  PopRecommender pop;
-  (void)pop.Fit(train);
-  NormalizedAccuracyScorer scorer(&pop);
-  const auto acc = scorer.ScoreAll(0);
-  DynCoverage dyn(train.num_items());
-  const auto cands = train.UnratedItems(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(GreedyTopNForUser(acc, 0.5, dyn, 0, cands, 5));
+void BM_SelectGancTopKUnrated(benchmark::State& state) {
+  // GANC's fused selection on one ML-1M-sized row: 3706 items of PSVD10
+  // scores with their min-max scale, against a Dyn row that holds the
+  // pure-accuracy top-5 of 500 users (OSLG's S x N = 2500 observations).
+  static const RatingDataset* train = [] {
+    auto spec = TinySpec();
+    spec.num_users = 500;
+    spec.num_items = 3706;
+    spec.mean_activity = 60.0;
+    return new RatingDataset(std::move(GenerateSynthetic(spec)).value());
+  }();
+  PsvdRecommender psvd({.num_factors = 10});
+  (void)psvd.Fit(*train);
+  const NormalizedAccuracyScorer scorer(&psvd);
+  const size_t ni = static_cast<size_t>(train->num_items());
+  ScoringContext ctx;
+  DynCoverage dyn(train->num_items());
+  std::vector<double> raw(ni);
+  RowScale scale;
+  for (UserId u = 0; u < train->num_users(); ++u) {
+    scorer.ScoreBatchScaledInto(std::span<const UserId>(&u, 1), raw,
+                                std::span<RowScale>(&scale, 1));
+    for (const ScoredItem& s : SelectGancTopKUnrated(
+             raw, scale, 0.0, dyn.Row(u, ctx), *train, u, 5, ctx)) {
+      dyn.Observe(s.item);
+    }
   }
+  const UserId u = 0;
+  scorer.ScoreBatchScaledInto(std::span<const UserId>(&u, 1), raw,
+                              std::span<RowScale>(&scale, 1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SelectGancTopKUnrated(raw, scale, 0.65, dyn.Row(u, ctx), *train, u,
+                              5, ctx)
+            .data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(ni));
 }
-BENCHMARK(BM_GreedyTopNForUser);
+BENCHMARK(BM_SelectGancTopKUnrated);
 
 void BM_DynObserve(benchmark::State& state) {
   DynCoverage dyn(10000);

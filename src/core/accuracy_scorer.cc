@@ -15,6 +15,13 @@ void AccuracyScorer::ScoreBatchInto(std::span<const UserId> users,
   }
 }
 
+void AccuracyScorer::ScoreBatchScaledInto(std::span<const UserId> users,
+                                          std::span<double> out,
+                                          std::span<RowScale> scales) const {
+  ScoreBatchInto(users, out);
+  std::fill(scales.begin(), scales.end(), RowScale{});
+}
+
 std::vector<double> AccuracyScorer::ScoreAll(UserId u) const {
   std::vector<double> scores(static_cast<size_t>(num_items()));
   ScoreInto(u, scores);
@@ -33,6 +40,25 @@ void NormalizedAccuracyScorer::ScoreBatchInto(std::span<const UserId> users,
   const size_t ni = static_cast<size_t>(num_items());
   for (size_t b = 0; b < users.size(); ++b) {
     MinMaxNormalize(out.subspan(b * ni, ni));
+  }
+}
+
+void NormalizedAccuracyScorer::ScoreBatchScaledInto(
+    std::span<const UserId> users, std::span<double> out,
+    std::span<RowScale> scales) const {
+  base_->ScoreBatchInto(users, out);
+  const size_t ni = static_cast<size_t>(num_items());
+  for (size_t b = 0; b < users.size(); ++b) {
+    const std::span<double> row = out.subspan(b * ni, ni);
+    RowScale scale;
+    if (!row.empty()) scale = MinMaxScale(row);
+    // MinMaxNormalize's constant-row rule, applied here so that every
+    // row reaching (r - lo) / range has a positive (or NaN) range.
+    if (scale.range <= 0.0) {
+      std::fill(row.begin(), row.end(), 0.0);
+      scale = RowScale{};
+    }
+    scales[b] = scale;
   }
 }
 

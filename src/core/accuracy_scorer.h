@@ -9,6 +9,9 @@
 // Like Recommender, the scoring primitives are ScoreInto and the
 // batch-major ScoreBatchInto (both adapters forward the batch to the
 // base model's blocked kernel); ScoreAll is the allocating wrapper.
+// GANC's selection kernel reads ScoreBatchScaledInto instead: the base
+// scores plus each row's min-max scale, so the normalization folds into
+// the selection pass and no normalized row is written.
 
 #ifndef GANC_CORE_ACCURACY_SCORER_H_
 #define GANC_CORE_ACCURACY_SCORER_H_
@@ -20,6 +23,7 @@
 
 #include "data/dataset.h"
 #include "recommender/recommender.h"
+#include "util/stats.h"
 
 namespace ganc {
 
@@ -42,6 +46,15 @@ class AccuracyScorer {
   virtual void ScoreBatchInto(std::span<const UserId> users,
                               std::span<double> out) const;
 
+  /// Scale-deferred ScoreBatchInto: row b of `out` holds scores r and
+  /// scales[b] a RowScale such that (r_i - lo) / range is ScoreBatchInto's
+  /// a(i) bit for bit (`scales` has one entry per user). The default
+  /// writes ScoreBatchInto's rows with {0, 1}: (v - 0.0) / 1.0 == v for
+  /// every double. Thread-safe.
+  virtual void ScoreBatchScaledInto(std::span<const UserId> users,
+                                    std::span<double> out,
+                                    std::span<RowScale> scales) const;
+
   /// Allocating convenience wrapper over ScoreInto.
   std::vector<double> ScoreAll(UserId u) const;
 
@@ -58,6 +71,12 @@ class NormalizedAccuracyScorer : public AccuracyScorer {
   void ScoreInto(UserId u, std::span<double> out) const override;
   void ScoreBatchInto(std::span<const UserId> users,
                       std::span<double> out) const override;
+  /// The base model's raw rows with MinMaxScale's {lo, range}. A constant
+  /// row, which MinMaxNormalize maps to zeros, is written as zeros with
+  /// {0, 1}.
+  void ScoreBatchScaledInto(std::span<const UserId> users,
+                            std::span<double> out,
+                            std::span<RowScale> scales) const override;
   std::string name() const override { return base_->name(); }
 
  private:
@@ -84,6 +103,40 @@ class TopNIndicatorScorer : public AccuracyScorer {
   const RatingDataset* train_;
   int top_n_;
 };
+
+/// ForEachScoredUser over scale-deferred rows: runs fn(u, raw_row, scale)
+/// for every user in `users`, scoring in blocks of kScoreBatch through
+/// ScoreBatchScaledInto. fn may use every ctx buffer except BatchScores
+/// and RowScales, which hold the in-flight block.
+template <typename Fn>
+void ForEachScaledUser(const AccuracyScorer& scorer,
+                       std::span<const UserId> users, ScoringContext& ctx,
+                       Fn&& fn) {
+  const size_t ni = static_cast<size_t>(scorer.num_items());
+  std::vector<RowScale>& scales = ctx.RowScales();
+  for (size_t b0 = 0; b0 < users.size(); b0 += kScoreBatch) {
+    const size_t bn = std::min(kScoreBatch, users.size() - b0);
+    const std::span<double> batch = ctx.BatchScores(bn * ni);
+    scales.resize(bn);
+    scorer.ScoreBatchScaledInto(users.subspan(b0, bn), batch, scales);
+    for (size_t b = 0; b < bn; ++b) {
+      fn(users[b0 + b], std::span<const double>(batch.subspan(b * ni, ni)),
+         scales[b]);
+    }
+  }
+}
+
+/// Contiguous-range variant over users [lo, hi), through
+/// ctx.BatchUsers().
+template <typename Fn>
+void ForEachScaledUser(const AccuracyScorer& scorer, size_t lo, size_t hi,
+                       ScoringContext& ctx, Fn&& fn) {
+  std::vector<UserId>& users = ctx.BatchUsers();
+  users.clear();
+  for (size_t uu = lo; uu < hi; ++uu) users.push_back(static_cast<UserId>(uu));
+  ForEachScaledUser(scorer, std::span<const UserId>(users), ctx,
+                    std::forward<Fn>(fn));
+}
 
 }  // namespace ganc
 

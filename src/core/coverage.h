@@ -24,6 +24,8 @@
 
 namespace ganc {
 
+class ScoringContext;
+
 /// Coverage score provider c(u, i) in [0, 1].
 class CoverageModel {
  public:
@@ -32,17 +34,17 @@ class CoverageModel {
   /// Coverage score of item i for user u.
   virtual double Score(UserId u, ItemId i) const = 0;
 
+  /// c(u, ·) as a dense row over the catalog: entry i is Score(u, i) bit
+  /// for bit. Stat and Dyn hand out the row they score from; Rand fills
+  /// ctx.Buffer(1). The row stays valid until the next Observe or the
+  /// next use of that buffer. GANC's selection kernel reads it in blocks.
+  virtual std::span<const double> Row(UserId u, ScoringContext& ctx) const = 0;
+
   /// Notifies the model that `i` was just recommended (no-op unless Dyn).
   virtual void Observe(ItemId /*i*/) {}
 
   /// True when Observe changes future scores (couples users' optima).
   virtual bool IsDynamic() const { return false; }
-
-  /// The running counts f^A when c(u, i) = DynScoreTable::Score(f^A_i)
-  /// (Dyn and its snapshot view), empty otherwise. The greedy asks once
-  /// per user and then scores every candidate inline, without a virtual
-  /// call per candidate.
-  virtual std::span<const uint32_t> DynCounts() const { return {}; }
 
   virtual std::string name() const = 0;
 };
@@ -54,6 +56,7 @@ class RandCoverage : public CoverageModel {
       : num_items_(num_items), seed_(seed) {}
 
   double Score(UserId u, ItemId i) const override;
+  std::span<const double> Row(UserId u, ScoringContext& ctx) const override;
   std::string name() const override { return "Rand"; }
 
  private:
@@ -67,6 +70,10 @@ class StatCoverage : public CoverageModel {
   explicit StatCoverage(const RatingDataset& train);
 
   double Score(UserId u, ItemId i) const override;
+  std::span<const double> Row(UserId /*u*/,
+                              ScoringContext& /*ctx*/) const override {
+    return score_;
+  }
   std::string name() const override { return "Stat"; }
 
  private:
@@ -99,45 +106,36 @@ class DynScoreTable {
   std::array<double, kSize> table_;
 };
 
-/// Dyn: decreasing in the running recommendation frequency f_i^A.
+/// Dyn: decreasing in the running recommendation frequency f_i^A. The
+/// value row DynScoreTable::Score(f_i^A) is kept beside the counts and
+/// updated by Observe, so Score and Row read it directly.
 class DynCoverage : public CoverageModel {
  public:
   explicit DynCoverage(int32_t num_items)
-      : counts_(static_cast<size_t>(num_items), 0) {}
+      : counts_(static_cast<size_t>(num_items), 0),
+        values_(static_cast<size_t>(num_items), DynScoreTable::Formula(0)) {}
 
-  double Score(UserId u, ItemId i) const override;
+  double Score(UserId /*u*/, ItemId i) const override {
+    return values_[static_cast<size_t>(i)];
+  }
+  std::span<const double> Row(UserId /*u*/,
+                              ScoringContext& /*ctx*/) const override {
+    return values_;
+  }
   void Observe(ItemId i) override {
-    ++counts_[static_cast<size_t>(i)];
+    const size_t ii = static_cast<size_t>(i);
+    values_[ii] = DynScoreTable::Get().Score(++counts_[ii]);
   }
   bool IsDynamic() const override { return true; }
-  std::span<const uint32_t> DynCounts() const override { return counts_; }
   std::string name() const override { return "Dyn"; }
 
-  /// Running recommendation frequencies f^A (the OSLG snapshot payload).
+  /// Running recommendation frequencies f^A.
   const std::vector<uint32_t>& counts() const { return counts_; }
-  void SetCounts(std::vector<uint32_t> counts) { counts_ = std::move(counts); }
+  void SetCounts(std::vector<uint32_t> counts);
 
  private:
   std::vector<uint32_t> counts_;
-};
-
-/// Read-only Dyn scoring over borrowed counts. OSLG's parallel phase
-/// scores every out-of-sample user against the snapshot of their
-/// nearest-theta sampled user; this view does it without copying the
-/// count vector per user (the snapshot is never mutated there).
-class DynSnapshotView : public CoverageModel {
- public:
-  explicit DynSnapshotView(std::span<const uint32_t> counts)
-      : counts_(counts) {}
-
-  double Score(UserId /*u*/, ItemId i) const override {
-    return DynScoreTable::Get().Score(counts_[static_cast<size_t>(i)]);
-  }
-  std::span<const uint32_t> DynCounts() const override { return counts_; }
-  std::string name() const override { return "Dyn"; }
-
- private:
-  std::span<const uint32_t> counts_;
+  std::vector<double> values_;  // DynScoreTable::Score(counts_[i])
 };
 
 /// Which coverage recommender a GANC variant uses.

@@ -18,10 +18,16 @@
 //       users, visited in increasing theta order, and
 //   (2) assigning every remaining user in parallel using the coverage
 //       state snapshot of their nearest-theta sampled user.
+//
+// Every GANC list, in both phases, in the modular case, in
+// GancPipeline::RecommendForUser and in served pipeline mode, comes from
+// one selection kernel, SelectGancTopKUnrated, which reads the base
+// model's raw score row with its min-max scale and a dense coverage row.
 
 #ifndef GANC_CORE_GANC_H_
 #define GANC_CORE_GANC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -31,8 +37,10 @@
 #include "core/coverage.h"
 #include "data/dataset.h"
 #include "recommender/scoring_context.h"
+#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/top_k.h"
 
 namespace ganc {
 
@@ -89,23 +97,41 @@ class Ganc {
   CoverageKind coverage_;
 };
 
-/// Greedy top-N for one user under mixed score
-/// (1-theta_u) * a(i) + theta_u * c(u, i). Exposed for tests and for the
-/// sequential phase of custom optimizers.
-std::vector<ItemId> GreedyTopNForUser(const std::vector<double>& accuracy,
-                                      double theta_u,
-                                      const CoverageModel& coverage, UserId u,
-                                      const std::vector<ItemId>& candidates,
-                                      int top_n);
+/// Items per block of SelectGancTopKUnrated's prefilter.
+inline constexpr size_t kGancBlock = 8;
 
-/// Allocation-free variant: selects through ctx's top-k heap and
-/// overwrites `out` (capacity reused). Identical output. Uses ctx.TopK
-/// only, so `accuracy` may live in ctx.Scores and `candidates` in
-/// ctx.Candidates.
-void GreedyTopNForUserInto(std::span<const double> accuracy, double theta_u,
-                           const CoverageModel& coverage, UserId u,
-                           std::span<const ItemId> candidates, int top_n,
-                           ScoringContext& ctx, std::vector<ItemId>& out);
+/// SelectGancTopKUnrated's prefilter over the kGancBlock items at `raw`
+/// and `coverage`: true when every item's bound
+///   p(i) = (1 - theta) * ((raw_i - lo) * inv_range) + theta * coverage_i
+/// lies below `cut`. A NaN bound is never below. Exposed for tests.
+bool GancBlockBelow(const double* raw, const double* coverage, double lo,
+                    double inv_range, double theta, double cut);
+
+/// GANC's selection for one user: the k best items `u` has not rated in
+/// `train` (and not in `exclusions`: ids in range, as SelectTopKUnrated)
+/// under the mixed score
+///   e(i) = (1 - theta) * ((raw_i - scale.lo) / scale.range)
+///          + theta * coverage_i,
+/// best first, into ctx.TopK(), which it returns. `raw` and `scale` come
+/// from AccuracyScorer::ScoreBatchScaledInto, so the normalized accuracy
+/// is never written; `coverage` is CoverageModel::Row, values in [0, 1].
+///
+/// Items are scanned in ascending id order, in blocks of kGancBlock. Once
+/// k items are held, a block is skipped when GancBlockBelow puts every
+/// bound below worst - 2^-40. For a finite row with a positive finite
+/// range and theta in [0, 1], e(i) and p(i) lie in [0, 1] up to rounding
+/// and differ by less than 2e-15, so a skipped item would have been
+/// rejected. Any other row, and any NaN bound, runs without skipping.
+/// Every other item gets the exact e(i) and the reject test and
+/// insertion of ScanSelectBestInto, so the list and its scores, ties,
+/// signed zeros and NaNs included, are those of selecting over the
+/// normalized row and the ascending candidate list. When UseScanSelect(k, candidates) is false
+/// the exact scores are materialized for PartialSelectBest instead.
+/// Uses ctx.Flags() and ctx.TopK().
+std::vector<ScoredItem>& SelectGancTopKUnrated(
+    std::span<const double> raw, RowScale scale, double theta,
+    std::span<const double> coverage, const RatingDataset& train, UserId u,
+    size_t k, ScoringContext& ctx, std::span<const ItemId> exclusions = {});
 
 /// Aggregate objective value of a collection (Appendix B definition):
 /// sum_u (1-theta_u) a(P_u) + theta_u sum_{i in P_u} 1/sqrt(1 + f_i^P)

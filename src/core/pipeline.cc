@@ -248,13 +248,17 @@ Result<TopNCollection> GancPipeline::RecommendAll() const {
 
 std::vector<ItemId> GancPipeline::RecommendForUser(UserId u) const {
   ScoringContext ctx;
-  const std::span<double> acc =
+  const std::span<double> raw =
       ctx.Scores(static_cast<size_t>(train_->num_items()));
-  scorer_->ScoreInto(u, acc);
-  train_->UnratedItemsInto(u, &ctx.Candidates());
+  RowScale scale;
+  scorer_->ScoreBatchScaledInto(std::span<const UserId>(&u, 1), raw,
+                                std::span<RowScale>(&scale, 1));
+  const std::vector<ScoredItem>& top = SelectGancTopKUnrated(
+      raw, scale, theta_[static_cast<size_t>(u)], coverage_->Row(u, ctx),
+      *train_, u, static_cast<size_t>(config_.top_n), ctx);
   std::vector<ItemId> out;
-  GreedyTopNForUserInto(acc, theta_[static_cast<size_t>(u)], *coverage_, u,
-                        ctx.Candidates(), config_.top_n, ctx, out);
+  out.reserve(top.size());
+  for (const ScoredItem& s : top) out.push_back(s.item);
   return out;
 }
 

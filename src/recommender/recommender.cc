@@ -78,20 +78,13 @@ std::vector<ScoredItem>& SelectTopKUnrated(std::span<const double> scores,
   // marked and unmarked around the call so the mask stays zeroed
   // between users.
   std::vector<uint8_t>& masked = ctx.Flags();
-  if (masked.size() != scores.size()) masked.assign(scores.size(), 0);
-  for (const ItemRating& ir : train.ItemsOf(u)) {
-    masked[static_cast<size_t>(ir.item)] = 1;
-  }
-  for (const ItemId i : exclusions) masked[static_cast<size_t>(i)] = 1;
+  MarkUnavailable(train, u, exclusions, scores.size(), masked);
   std::vector<ScoredItem>& top = ctx.TopK();
   SelectTopKDenseInto(
       scores, k,
       [&](int32_t item) { return masked[static_cast<size_t>(item)] != 0; },
       &top);
-  for (const ItemRating& ir : train.ItemsOf(u)) {
-    masked[static_cast<size_t>(ir.item)] = 0;
-  }
-  for (const ItemId i : exclusions) masked[static_cast<size_t>(i)] = 0;
+  UnmarkUnavailable(train, u, exclusions, masked);
   return top;
 }
 

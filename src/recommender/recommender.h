@@ -226,11 +226,41 @@ void ForEachScoredUser(const Scorer& scorer, size_t lo, size_t hi,
                     std::forward<Fn>(fn));
 }
 
+/// The flag mask of the "all unrated items" selection kernels: marks the
+/// items `u` rated in `train`, plus any `exclusions` (ids must be in
+/// range), in `mask`, which is sized to `num_items` and kept zeroed
+/// between calls. Returns how many items it newly marked, so `num_items`
+/// minus the result is the candidate count. UnmarkUnavailable restores
+/// the zeroed mask.
+inline size_t MarkUnavailable(const RatingDataset& train, UserId u,
+                              std::span<const ItemId> exclusions,
+                              size_t num_items, std::vector<uint8_t>& mask) {
+  if (mask.size() != num_items) mask.assign(num_items, 0);
+  size_t marked = 0;
+  auto mark = [&](ItemId i) {
+    uint8_t& m = mask[static_cast<size_t>(i)];
+    marked += m ^ 1u;
+    m = 1;
+  };
+  for (const ItemRating& ir : train.ItemsOf(u)) mark(ir.item);
+  for (const ItemId i : exclusions) mark(i);
+  return marked;
+}
+
+inline void UnmarkUnavailable(const RatingDataset& train, UserId u,
+                              std::span<const ItemId> exclusions,
+                              std::vector<uint8_t>& mask) {
+  for (const ItemRating& ir : train.ItemsOf(u)) {
+    mask[static_cast<size_t>(ir.item)] = 0;
+  }
+  for (const ItemId i : exclusions) mask[static_cast<size_t>(i)] = 0;
+}
+
 /// Top-k over a dense score row restricted to the items `u` has NOT
 /// rated in `train` — the "all unrated items" candidate protocol without
 /// materializing a candidate list. Marks the user's rated items (plus
 /// any `exclusions`, the serving layer's session deltas — ids must be
-/// in range) in ctx.Flags() (kept zeroed between calls), selects through
+/// in range) in ctx.Flags() with MarkUnavailable, selects through
 /// the dense scan kernel into ctx.TopK(), unmarks, and returns
 /// ctx.TopK(). Output is identical to SelectTopKFromScoresInto over the
 /// ascending unrated, non-excluded item ids.

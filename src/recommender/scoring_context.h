@@ -18,7 +18,10 @@
 // Slot conventions used by the framework (callers layering their own use
 // on top must avoid these while a framework call is in flight):
 //   Scores()  == Buffer(0)  dense per-item scores (RecommendTopNInto)
+//   Buffer(1)               a per-user coverage row (CoverageModel::Row)
 //   TopK()                  heap/output of the top-k selection kernels
+//   Flags()                 the rated/excluded mask of the unrated-items
+//                           selection kernels (zeroed between calls)
 //   Candidates() == Items(0) candidate item ids (UnratedItemsInto target)
 
 #ifndef GANC_RECOMMENDER_SCORING_CONTEXT_H_
@@ -28,12 +31,14 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <thread>
 #include <vector>
 
 #include "data/dataset.h"
 #include "util/aligned.h"
+#include "util/stats.h"
 #include "util/top_k.h"
 
 namespace ganc {
@@ -56,7 +61,9 @@ class ScoringContext {
   /// The primary candidate-id buffer (UnratedItemsInto target).
   std::vector<ItemId>& Candidates() { return Items(0); }
 
-  /// A numbered item-id scratch vector (cleared by the consumer).
+  /// A numbered item-id scratch vector (cleared by the consumer). The
+  /// reference stays valid for the context's lifetime: asking for a
+  /// higher slot never moves a lower one.
   std::vector<ItemId>& Items(size_t slot);
 
   /// The batch-major score buffer of the blocked scoring path, resized to
@@ -70,6 +77,13 @@ class ScoringContext {
   std::vector<UserId>& BatchUsers() {
     CheckOwner();
     return batch_users_;
+  }
+
+  /// Per-row scales of a scale-deferred score block
+  /// (AccuracyScorer::ScoreBatchScaledInto), capacity reused.
+  std::vector<RowScale>& RowScales() {
+    CheckOwner();
+    return row_scales_;
   }
 
   /// Working scratch / output of the top-k selection kernels.
@@ -118,10 +132,13 @@ class ScoringContext {
   std::vector<AlignedVector<double>> buffers_;
   AlignedVector<double> batch_scores_;
   std::vector<UserId> batch_users_;
-  std::vector<std::vector<ItemId>> items_;
+  std::vector<RowScale> row_scales_;
   std::vector<ScoredItem> top_k_;
   std::vector<uint8_t> flags_;
   std::vector<size_t> indices_;
+  // A deque, so growing it for a new slot keeps every earlier slot's
+  // address (callers hold Items(1) while asking for Items(2)).
+  std::deque<std::vector<ItemId>> items_;
   // Present in every build so the class layout does not depend on
   // NDEBUG (mixed-mode linking stays safe); only read in debug.
   std::atomic<std::thread::id> owner_{};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <iterator>
 #include <utility>
 
 #include "core/coverage.h"
@@ -283,17 +282,20 @@ void RecommendationService::ScoreAndSelect(
   users.clear();
   for (const BatchRequest* r : batch) users.push_back(r->user);
   const std::span<double> scores = ctx.BatchScores(users.size() * ni);
+  std::vector<RowScale>& scales = ctx.RowScales();
   const uint64_t kernel_ns = MonotonicNowNs();
   if (model_ != nullptr) {
     model_->ScoreBatchInto(users, scores);
   } else {
-    scorer_->ScoreBatchInto(users, scores);
+    scales.resize(users.size());
+    scorer_->ScoreBatchScaledInto(users, scores, scales);
   }
   instruments_.kernel_ns->Observe(MonotonicNowNs() - kernel_ns);
   for (size_t b = 0; b < batch.size(); ++b) {
     const uint64_t select_ns = MonotonicNowNs();
     SelectForRequest(*batch[b],
-                     std::span<const double>(scores.subspan(b * ni, ni)), ctx);
+                     std::span<const double>(scores.subspan(b * ni, ni)),
+                     model_ != nullptr ? RowScale{} : scales[b], ctx);
     const uint64_t selected_ns = MonotonicNowNs();
     instruments_.select_ns->Observe(selected_ns - select_ns);
     if (batch[b]->trace != nullptr) {
@@ -304,6 +306,7 @@ void RecommendationService::ScoreAndSelect(
 
 void RecommendationService::SelectForRequest(const BatchRequest& req,
                                              std::span<const double> scores,
+                                             RowScale scale,
                                              ScoringContext& ctx) {
   std::vector<ItemId>& out = *req.out;
   if (model_ != nullptr) {
@@ -318,21 +321,16 @@ void RecommendationService::SelectForRequest(const BatchRequest& req,
     for (const ScoredItem& s : top) out.push_back(s.item);
     return;
   }
-  // Pipeline mode: GANC-mixed greedy over the accuracy row — the exact
-  // RecommendForUser computation, with exclusions subtracted from the
-  // (sorted) unrated candidate list first.
-  train_->UnratedItemsInto(req.user, &ctx.Candidates());
-  std::span<const ItemId> candidates = ctx.Candidates();
-  if (!req.exclusions.empty()) {
-    std::vector<ItemId>& filtered = ctx.Items(1);
-    filtered.clear();
-    std::set_difference(candidates.begin(), candidates.end(),
-                        req.exclusions.begin(), req.exclusions.end(),
-                        std::back_inserter(filtered));
-    candidates = filtered;
-  }
-  GreedyTopNForUserInto(scores, (*theta_)[static_cast<size_t>(req.user)],
-                        *coverage_, req.user, candidates, req.n, ctx, out);
+  // Pipeline mode: GANC's selection kernel over the raw accuracy row and
+  // its scale — the exact RecommendForUser computation, with the
+  // request's exclusions folded into the kernel's mask.
+  const std::vector<ScoredItem>& top = SelectGancTopKUnrated(
+      scores, scale, (*theta_)[static_cast<size_t>(req.user)],
+      coverage_->Row(req.user, ctx), *train_, req.user,
+      static_cast<size_t>(req.n), ctx, req.exclusions);
+  out.clear();
+  out.reserve(top.size());
+  for (const ScoredItem& s : top) out.push_back(s.item);
 }
 
 void RecommendationService::ScoreOneUnbatched(BatchRequest& req) {

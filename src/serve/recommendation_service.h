@@ -189,14 +189,16 @@ class RecommendationService {
 
   Status Init(const Recommender* model, const GancPipeline* pipeline);
 
-  /// The scheduler's batch function: one ScoreBatchInto over the block,
-  /// then per-request selection.
+  /// The scheduler's batch function: one ScoreBatchInto over the block
+  /// (ScoreBatchScaledInto in pipeline mode), then per-request selection.
   void ScoreAndSelect(std::span<BatchRequest* const> batch,
                       ScoringContext& ctx);
 
-  /// Selection for one request from its dense score row.
+  /// Selection for one request from its dense score row; pipeline mode
+  /// reads the row through its min-max `scale`.
   void SelectForRequest(const BatchRequest& req,
-                        std::span<const double> scores, ScoringContext& ctx);
+                        std::span<const double> scores, RowScale scale,
+                        ScoringContext& ctx);
 
   /// Live scoring for one request on the calling thread (baseline path
   /// and BuildStore).

@@ -5,8 +5,8 @@
 // touching the immutable snapshot: at request time the overlay's item
 // set is handed to RecommendationService::TopN as extra exclusions, so
 // freshly consumed items drop out of the candidate set with zero
-// retraining — the same borrowing pattern as DynSnapshotView, which
-// layers mutable OSLG state over immutable scores without copying.
+// retraining: the selection kernels mask them beside the user's rated
+// items, and the snapshot's scores are never copied or changed.
 //
 // SessionOverlay is single-session, unsynchronized state (one protocol
 // connection, one test). SessionRegistry is the thread-safe keyed map

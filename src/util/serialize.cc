@@ -186,6 +186,7 @@ Status PayloadReader::ReadVecF64(std::vector<double>* out) {
     return Status::InvalidArgument("vector length exceeds section payload");
   }
   out->resize(count);
+  if (count == 0) return Status::OK();  // data() may be null
   if constexpr (kGancHostIsLittleEndian) {
     std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(double));
     pos_ += count * sizeof(double);
@@ -202,6 +203,7 @@ Status PayloadReader::ReadVecF32(std::vector<float>* out) {
     return Status::InvalidArgument("vector length exceeds section payload");
   }
   out->resize(count);
+  if (count == 0) return Status::OK();  // data() may be null
   if constexpr (kGancHostIsLittleEndian) {
     std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(float));
     pos_ += count * sizeof(float);
@@ -218,6 +220,7 @@ Status PayloadReader::ReadVecI32(std::vector<int32_t>* out) {
     return Status::InvalidArgument("vector length exceeds section payload");
   }
   out->resize(count);
+  if (count == 0) return Status::OK();  // data() may be null
   if constexpr (kGancHostIsLittleEndian) {
     std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(int32_t));
     pos_ += count * sizeof(int32_t);
@@ -234,6 +237,7 @@ Status PayloadReader::ReadVecU64(std::vector<uint64_t>* out) {
     return Status::InvalidArgument("vector length exceeds section payload");
   }
   out->resize(count);
+  if (count == 0) return Status::OK();  // data() may be null
   if constexpr (kGancHostIsLittleEndian) {
     std::memcpy(out->data(), bytes_.data() + pos_, count * sizeof(uint64_t));
     pos_ += count * sizeof(uint64_t);
@@ -250,6 +254,7 @@ Status PayloadReader::ReadVecI8(std::vector<int8_t>* out) {
     return Status::InvalidArgument("vector length exceeds section payload");
   }
   out->resize(count);
+  if (count == 0) return Status::OK();  // data() may be null
   std::memcpy(out->data(), bytes_.data() + pos_, count);
   pos_ += count;
   return Status::OK();

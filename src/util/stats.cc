@@ -53,8 +53,8 @@ void MinMaxNormalize(std::vector<double>* x) {
   MinMaxNormalize(std::span<double>(*x));
 }
 
-void MinMaxNormalize(std::span<double> x) {
-  if (x.empty()) return;
+RowScale MinMaxScale(std::span<const double> x) {
+  assert(!x.empty());
   // Min and max over four independent two-double accumulators (the
   // GCC/Clang vector extension, whose lane-wise selects compile to
   // minpd/maxpd), so the scan has no data-dependent branch to mispredict
@@ -90,12 +90,17 @@ void MinMaxNormalize(std::span<double> x) {
   // sign, and v - lo maps a -0.0 element to -0.0 or +0.0 depending on it.
   // The minimum is the first minimal element in index order.
   if (lo == 0.0) lo = *std::find(x.begin(), x.end(), 0.0);
-  const double range = hi - lo;
-  if (range <= 0.0) {
+  return {lo, hi - lo};
+}
+
+void MinMaxNormalize(std::span<double> x) {
+  if (x.empty()) return;
+  const RowScale s = MinMaxScale(x);
+  if (s.range <= 0.0) {
     std::fill(x.begin(), x.end(), 0.0);
     return;
   }
-  for (double& v : x) v = (v - lo) / range;
+  for (double& v : x) v = (v - s.lo) / s.range;
 }
 
 void ClampAll(std::vector<double>* x, double lo, double hi) {

@@ -30,10 +30,22 @@ double Max(const std::vector<double>& x);
 /// The input does not need to be sorted.
 double Quantile(std::vector<double> x, double q);
 
+/// The affine map of a min-max normalization: x_i -> (x_i - lo) / range.
+struct RowScale {
+  double lo = 0.0;
+  double range = 1.0;
+};
+
+/// lo = min x and range = max x - lo, exactly as MinMaxNormalize uses
+/// them: lo is the first minimal element in index order, which fixes the
+/// sign of a zero minimum and so of every normalized -0.0. A constant
+/// vector has range 0, and one that starts with NaN has NaN for both.
+/// Requires non-empty input.
+RowScale MinMaxScale(std::span<const double> x);
+
 /// Min-max normalization x_i <- (x_i - min) / (max - min), the paper's
-/// Section II-A normalization. A constant vector maps to all zeros. min
-/// is the first minimal element in index order, which fixes the sign of a
-/// zero minimum and so of every normalized -0.0.
+/// Section II-A normalization, over MinMaxScale's lo and range. A
+/// constant vector maps to all zeros.
 void MinMaxNormalize(std::vector<double>* x);
 
 /// Span overload for buffers borrowed from a ScoringContext.

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "recommender/scoring_context.h"
 
 namespace ganc {
 namespace {
@@ -108,35 +110,77 @@ uint64_t Bits(double x) {
 
 TEST(DynScoreTableTest, EveryCountKeepsTheFormulasBits) {
   // Counts on both sides of the table's end read 1 / sqrt(f + 1) exactly,
-  // through the table, DynCoverage and DynSnapshotView alike.
+  // through the table and through DynCoverage's value row alike.
   const uint32_t n = 2 * DynScoreTable::kSize + 3;
   std::vector<uint32_t> counts(n);
   for (uint32_t f = 0; f < n; ++f) counts[f] = f;
   counts.push_back(4000000000u);
   DynCoverage dyn(static_cast<int32_t>(counts.size()));
   dyn.SetCounts(counts);
-  const DynSnapshotView view(counts);
   const DynScoreTable& table = DynScoreTable::Get();
+  ScoringContext ctx;
+  const std::span<const double> row = dyn.Row(0, ctx);
+  ASSERT_EQ(row.size(), counts.size());
   for (size_t i = 0; i < counts.size(); ++i) {
     const uint64_t want =
         Bits(1.0 / std::sqrt(static_cast<double>(counts[i]) + 1.0));
     EXPECT_EQ(Bits(table.Score(counts[i])), want) << counts[i];
     EXPECT_EQ(Bits(dyn.Score(0, static_cast<ItemId>(i))), want) << counts[i];
-    EXPECT_EQ(Bits(view.Score(0, static_cast<ItemId>(i))), want)
-        << counts[i];
+    EXPECT_EQ(Bits(row[i]), want) << counts[i];
   }
 }
 
-TEST(DynCountsTest, OnlyDynModelsExposeTheirCounts) {
+TEST(DynCoverageTest, ObserveKeepsTheValueRowInStep) {
+  // Observe past the table's end: every value equals the formula at the
+  // item's running count.
+  DynCoverage dyn(3);
+  for (uint32_t k = 0; k < DynScoreTable::kSize + 5; ++k) {
+    dyn.Observe(1);
+    if (k % 3 == 0) dyn.Observe(2);
+  }
+  ScoringContext ctx;
+  const std::span<const double> row = dyn.Row(0, ctx);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(Bits(row[i]), Bits(DynScoreTable::Formula(dyn.counts()[i])));
+  }
+}
+
+// RandCoverage::Score as it was before the coverage rows: the golden.
+double GoldenRandScore(uint64_t seed, UserId u, ItemId i) {
+  uint64_t z = seed ^ (static_cast<uint64_t>(u) * 0x9E3779B97F4A7C15ULL) ^
+               (static_cast<uint64_t>(i) + 0xBF58476D1CE4E5B9ULL);
+  z ^= z >> 30;
+  z *= 0xBF58476D1CE4E5B9ULL;
+  z ^= z >> 27;
+  z *= 0x94D049BB133111EBULL;
+  z ^= z >> 31;
+  return static_cast<double>(z >> 11) * 0x1.0p-53;
+}
+
+TEST(CoverageRowTest, EveryRowIsItsScoresBitForBit) {
   const RatingDataset ds = SyntheticTrain();
-  DynCoverage dyn(ds.num_items());
-  dyn.Observe(3);
-  EXPECT_EQ(dyn.DynCounts().data(), dyn.counts().data());
-  EXPECT_EQ(dyn.DynCounts().size(), dyn.counts().size());
-  const DynSnapshotView view(dyn.counts());
-  EXPECT_EQ(view.DynCounts().data(), dyn.counts().data());
-  EXPECT_TRUE(RandCoverage(ds.num_items(), 1).DynCounts().empty());
-  EXPECT_TRUE(StatCoverage(ds).DynCounts().empty());
+  const int32_t ni = ds.num_items();
+  DynCoverage dyn(ni);
+  for (ItemId i = 0; i < ni; i += 3) dyn.Observe(i);
+  const RandCoverage rand_cov(ni, 11);
+  const StatCoverage stat(ds);
+  ScoringContext ctx;
+  for (UserId u : {0, 1, 17}) {
+    for (const CoverageModel* cov :
+         {static_cast<const CoverageModel*>(&dyn),
+          static_cast<const CoverageModel*>(&rand_cov),
+          static_cast<const CoverageModel*>(&stat)}) {
+      const std::span<const double> row = cov->Row(u, ctx);
+      ASSERT_EQ(row.size(), static_cast<size_t>(ni)) << cov->name();
+      for (ItemId i = 0; i < ni; ++i) {
+        EXPECT_EQ(Bits(row[static_cast<size_t>(i)]), Bits(cov->Score(u, i)))
+            << cov->name() << " user " << u << " item " << i;
+      }
+    }
+    for (ItemId i = 0; i < ni; ++i) {
+      EXPECT_EQ(Bits(rand_cov.Score(u, i)), Bits(GoldenRandScore(11, u, i)));
+    }
+  }
 }
 
 TEST(MakeCoverageTest, FactoryProducesCorrectKinds) {

@@ -1,6 +1,10 @@
 #include "core/ganc.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <span>
@@ -29,10 +33,10 @@ struct Fixture {
   std::unique_ptr<NormalizedAccuracyScorer> scorer;
   std::vector<double> theta;
 
-  explicit Fixture(uint64_t seed = 0) {
+  explicit Fixture(uint64_t seed = 0, int32_t num_items = 200) {
     auto spec = TinySpec();
     spec.num_users = 150;
-    spec.num_items = 200;
+    spec.num_items = num_items;
     spec.mean_activity = 25.0;
     spec.seed += seed;
     auto ds = GenerateSynthetic(spec);
@@ -49,73 +53,223 @@ struct Fixture {
   }
 };
 
-TEST(GreedyTopNForUserTest, PureAccuracyAtThetaZero) {
-  Fixture f;
-  DynCoverage dyn(f.train.num_items());
-  const auto acc = f.scorer->ScoreAll(0);
-  const auto cands = f.train.UnratedItems(0);
-  const auto mixed = GreedyTopNForUser(acc, 0.0, dyn, 0, cands, 5);
-  // theta = 0 ignores coverage entirely: must equal the accuracy top-5.
-  const auto pure = SelectTopKFromScores(acc, cands, 5);
-  ASSERT_EQ(mixed.size(), 5u);
-  for (size_t k = 0; k < 5; ++k) EXPECT_EQ(mixed[k], pure[k].item);
-}
-
-TEST(GreedyTopNForUserTest, PureCoverageAtThetaOne) {
-  Fixture f;
-  StatCoverage stat(f.train);
-  const auto acc = f.scorer->ScoreAll(0);
-  const auto cands = f.train.UnratedItems(0);
-  const auto mixed = GreedyTopNForUser(acc, 1.0, stat, 0, cands, 5);
-  // theta = 1: every selected item must be among the least popular.
-  std::vector<ScoredItem> cov_scored;
-  for (ItemId i : cands) cov_scored.push_back({i, stat.Score(0, i)});
-  const auto pure = SelectTopK(cov_scored, 5);
-  for (size_t k = 0; k < 5; ++k) EXPECT_EQ(mixed[k], pure[k].item);
-}
-
-// GreedyTopNForUserInto as it was before the table-driven Dyn path,
-// kept verbatim with the Dyn score it called per candidate: the golden.
-class GoldenDynCoverage : public CoverageModel {
- public:
-  explicit GoldenDynCoverage(std::span<const uint32_t> counts)
-      : counts_(counts) {}
-
-  double Score(UserId /*u*/, ItemId i) const override {
-    return 1.0 /
-           std::sqrt(static_cast<double>(counts_[static_cast<size_t>(i)]) +
-                     1.0);
+// The selection path before the fused kernel, kept verbatim as the
+// spec: MinMaxNormalize's body, UnratedItemsInto with the serving
+// layer's set_difference for exclusions, and GreedyTopNForUserInto (its
+// Dyn branch read the counts through DynScoreTable, the others called
+// Score per candidate).
+void SpecMinMaxNormalize(std::span<double> x) {
+  if (x.empty()) return;
+  using Pair = double __attribute__((vector_size(16)));
+  constexpr size_t kPairs = 4;
+  Pair lo_acc[kPairs], hi_acc[kPairs];
+  for (size_t a = 0; a < kPairs; ++a) lo_acc[a] = hi_acc[a] = Pair{x[0], x[0]};
+  const size_t n = x.size();
+  size_t i = 0;
+  for (; i + 2 * kPairs <= n; i += 2 * kPairs) {
+    for (size_t a = 0; a < kPairs; ++a) {
+      Pair v;
+      std::memcpy(&v, &x[i + 2 * a], sizeof(v));
+      lo_acc[a] = v < lo_acc[a] ? v : lo_acc[a];
+      hi_acc[a] = v > hi_acc[a] ? v : hi_acc[a];
+    }
   }
-  std::string name() const override { return "Dyn"; }
+  double lo = x[0];
+  double hi = x[0];
+  auto fold = [&](double v) {
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+  };
+  for (size_t a = 0; a < kPairs; ++a) {
+    for (size_t l = 0; l < 2; ++l) {
+      fold(lo_acc[a][l]);
+      fold(hi_acc[a][l]);
+    }
+  }
+  for (; i < n; ++i) fold(x[i]);
+  if (lo == 0.0) lo = *std::find(x.begin(), x.end(), 0.0);
+  const double range = hi - lo;
+  if (range <= 0.0) {
+    std::fill(x.begin(), x.end(), 0.0);
+    return;
+  }
+  for (double& v : x) v = (v - lo) / range;
+}
+
+void SpecGreedyTopNForUserInto(std::span<const double> accuracy,
+                               double theta_u, const CoverageModel& coverage,
+                               std::span<const uint32_t> dyn_counts, UserId u,
+                               std::span<const ItemId> candidates, int top_n,
+                               ScoringContext& ctx) {
+  std::vector<ScoredItem>& top = ctx.TopK();
+  auto select = [&](auto&& coverage_of) {
+    SelectTopKByInto(
+        candidates, static_cast<size_t>(top_n),
+        [&](ItemId i) {
+          return (1.0 - theta_u) * accuracy[static_cast<size_t>(i)] +
+                 theta_u * coverage_of(i);
+        },
+        &top);
+  };
+  if (!dyn_counts.empty()) {
+    const DynScoreTable& table = DynScoreTable::Get();
+    select([&](ItemId i) {
+      return table.Score(dyn_counts[static_cast<size_t>(i)]);
+    });
+  } else {
+    select([&](ItemId i) { return coverage.Score(u, i); });
+  }
+}
+
+// The spec's list and scores for one user from the accuracy row a(i).
+std::vector<ScoredItem> SpecSelect(std::span<const double> accuracy,
+                                   double theta,
+                                   const CoverageModel& coverage,
+                                   std::span<const uint32_t> dyn_counts,
+                                   const RatingDataset& train, UserId u,
+                                   std::span<const ItemId> exclusions,
+                                   int top_n) {
+  ScoringContext ctx;
+  train.UnratedItemsInto(u, &ctx.Candidates());
+  std::span<const ItemId> candidates = ctx.Candidates();
+  std::vector<ItemId> filtered;
+  if (!exclusions.empty()) {
+    std::set_difference(candidates.begin(), candidates.end(),
+                        exclusions.begin(), exclusions.end(),
+                        std::back_inserter(filtered));
+    candidates = filtered;
+  }
+  SpecGreedyTopNForUserInto(accuracy, theta, coverage, dyn_counts, u,
+                            candidates, top_n, ctx);
+  return ctx.TopK();
+}
+
+// Same items in the same order with the same score bits.
+void ExpectSameSelection(const std::vector<ScoredItem>& got,
+                         const std::vector<ScoredItem>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].item, want[j].item) << where << " rank " << j;
+    EXPECT_EQ(std::memcmp(&got[j].score, &want[j].score, sizeof(double)), 0)
+        << where << " rank " << j << ": " << got[j].score << " vs "
+        << want[j].score;
+  }
+}
+
+// A base model that scores user u with row u mod |rows|.
+class FixedRowsRecommender : public Recommender {
+ public:
+  explicit FixedRowsRecommender(std::vector<std::vector<double>> rows)
+      : rows_(std::move(rows)) {}
+
+  using Recommender::Fit;
+  Status Fit(const RatingDataset& /*train*/) override { return Status::OK(); }
+  int32_t num_items() const override {
+    return static_cast<int32_t>(rows_[0].size());
+  }
+  void ScoreInto(UserId u, std::span<double> out) const override {
+    const std::vector<double>& row =
+        rows_[static_cast<size_t>(u) % rows_.size()];
+    std::copy(row.begin(), row.end(), out.begin());
+  }
+  std::string name() const override { return "Fixed"; }
 
  private:
-  std::span<const uint32_t> counts_;
+  std::vector<std::vector<double>> rows_;
 };
 
-void GoldenGreedyTopNForUserInto(std::span<const double> accuracy,
-                                 double theta_u,
-                                 const CoverageModel& coverage, UserId u,
-                                 std::span<const ItemId> candidates,
-                                 int top_n, ScoringContext& ctx,
-                                 std::vector<ItemId>& out) {
-  std::vector<ScoredItem>& top = ctx.TopK();
-  SelectTopKByInto(
-      candidates, static_cast<size_t>(top_n),
-      [&](ItemId i) {
-        return (1.0 - theta_u) * accuracy[static_cast<size_t>(i)] +
-               theta_u * coverage.Score(u, i);
-      },
-      &top);
-  out.clear();
-  out.reserve(top.size());
-  for (const ScoredItem& s : top) out.push_back(s.item);
+// Rows that stress every rule of the old path: ties, constant rows,
+// signed-zero minima, NaN and infinities, and near-ties a few ulps apart.
+std::vector<std::vector<double>> AdversarialRows(size_t n) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(23);
+  auto uniform_row = [&] {
+    std::vector<double> row(n);
+    for (double& v : row) v = rng.Uniform();
+    return row;
+  };
+  std::vector<std::vector<double>> rows;
+  rows.push_back(uniform_row());
+  {
+    std::vector<double> row = uniform_row();  // coarse: many ties
+    for (double& v : row) v = std::round(v * 8.0) / 8.0;
+    rows.push_back(row);
+  }
+  rows.push_back(std::vector<double>(n, 0.25));  // constant
+  {
+    std::vector<double> row(n, 0.5);  // constant apart from NaN
+    row[3] = nan;
+    rows.push_back(row);
+  }
+  for (const double first_zero : {-0.0, 0.0}) {
+    std::vector<double> row = uniform_row();  // signed-zero minima
+    row[5] = first_zero;
+    row[9] = -first_zero;
+    row[n - 1] = -0.0;
+    rows.push_back(row);
+  }
+  {
+    std::vector<double> row = uniform_row();  // non-positive, max -0.0
+    for (double& v : row) v = -std::round(v * 4.0);
+    row[2] = -0.0;
+    rows.push_back(row);
+  }
+  {
+    std::vector<double> row = uniform_row();  // NaN first: all NaN
+    row[0] = nan;
+    rows.push_back(row);
+  }
+  {
+    std::vector<double> row = uniform_row();  // NaN inside
+    for (size_t i = 1; i < n; i += 17) row[i] = nan;
+    rows.push_back(row);
+  }
+  for (const double big : {inf, -inf}) {
+    std::vector<double> row = uniform_row();
+    row[11] = big;
+    rows.push_back(row);
+  }
+  {
+    std::vector<double> row = uniform_row();
+    row[4] = inf;
+    row[40] = -inf;
+    rows.push_back(row);
+  }
+  {
+    std::vector<double> row = uniform_row();  // inexact subtraction
+    for (double& v : row) v = 1e6 + 1e-3 * v;
+    rows.push_back(row);
+  }
+  {
+    std::vector<double> row(n);  // near-ties a few ulps apart
+    for (size_t i = 0; i < n; ++i) {
+      double v = 0.75;
+      for (uint64_t s = rng.UniformInt(6); s > 0; --s) {
+        v = std::nextafter(v, 1.0);
+      }
+      row[i] = v;
+    }
+    row[0] = 0.0;
+    row[1] = 1.0;
+    rows.push_back(row);
+  }
+  return rows;
 }
 
-TEST(GreedyTopNForUserTest, DynMatchesGoldenGreedyBitForBit) {
-  Fixture f;
+TEST(SelectGancTopKUnratedTest, MatchesTheOldPathBitForBit) {
+  Fixture f(0, 203);
   const size_t ni = static_cast<size_t>(f.train.num_items());
+  const std::vector<std::vector<double>> rows = AdversarialRows(ni);
+  FixedRowsRecommender fixed(rows);
+  const NormalizedAccuracyScorer fixed_scorer(&fixed);
+  PopRecommender pop;
+  ASSERT_TRUE(pop.Fit(f.train).ok());
+  const TopNIndicatorScorer indicator(&pop, &f.train, 5);
+
+  // Dyn counts straddle the score table: about half lie past its end.
   Rng rng(17);
-  // Counts straddle the score table: about half lie past its end.
   std::vector<uint32_t> counts(ni);
   for (uint32_t& c : counts) {
     c = static_cast<uint32_t>(rng.UniformInt(2 * DynScoreTable::kSize));
@@ -124,34 +278,191 @@ TEST(GreedyTopNForUserTest, DynMatchesGoldenGreedyBitForBit) {
   counts[1] = DynScoreTable::kSize;
   DynCoverage dyn(f.train.num_items());
   dyn.SetCounts(counts);
-  const DynSnapshotView view(counts);
-  const GoldenDynCoverage golden(counts);
+  const DynCoverage fresh(f.train.num_items());
+  const StatCoverage stat(f.train);
+  const RandCoverage rand_cov(f.train.num_items(), 3);
+  struct Cov {
+    const CoverageModel* model;
+    std::span<const uint32_t> counts;
+  };
+  const Cov covs[] = {{&dyn, dyn.counts()},
+                      {&fresh, fresh.counts()},
+                      {&stat, {}},
+                      {&rand_cov, {}}};
+
+  struct Source {
+    const char* name;
+    const AccuracyScorer* scorer;
+    bool normalizes;  // the spec normalizes the base row itself
+    int users;
+  };
+  const Source sources[] = {
+      {"adversarial rows", &fixed_scorer, true, static_cast<int>(rows.size())},
+      {"PSVD", f.scorer.get(), true, 12},
+      {"Pop indicator", &indicator, false, 6},
+  };
   ScoringContext ctx;
-  std::vector<ItemId> want, got;
-  for (UserId u = 0; u < 20; ++u) {
-    std::vector<double> acc = f.scorer->ScoreAll(u);
-    // Coarse accuracy makes mixed-score ties, so the tie order is pinned
-    // too.
-    if (u % 2 == 1) {
-      for (double& a : acc) a = std::round(a * 8.0) / 8.0;
-    }
-    const std::vector<ItemId> cands = f.train.UnratedItems(u);
-    const int all = static_cast<int>(cands.size());
-    for (double theta : {0.0, 0.37, 1.0}) {
-      // Scan and dense selection regimes, and more than the candidates.
-      for (int top_n : {1, 5, 50, all, all + 7}) {
-        GoldenGreedyTopNForUserInto(acc, theta, golden, u, cands, top_n, ctx,
-                                    want);
-        for (const CoverageModel* cov :
-             {static_cast<const CoverageModel*>(&dyn),
-              static_cast<const CoverageModel*>(&view)}) {
-          GreedyTopNForUserInto(acc, theta, *cov, u, cands, top_n, ctx, got);
-          EXPECT_EQ(got, want) << "user " << u << " theta " << theta
-                               << " top_n " << top_n;
+  std::vector<double> raw(ni);
+  for (const Source& src : sources) {
+    const Recommender& base = src.scorer == &fixed_scorer
+                                  ? static_cast<const Recommender&>(fixed)
+                                  : static_cast<const Recommender&>(f.psvd);
+    for (UserId u = 0; u < src.users; ++u) {
+      RowScale scale;
+      src.scorer->ScoreBatchScaledInto(std::span<const UserId>(&u, 1), raw,
+                                       std::span<RowScale>(&scale, 1));
+      std::vector<double> acc;
+      if (src.normalizes) {
+        acc = base.ScoreAll(u);
+        SpecMinMaxNormalize(acc);
+      } else {
+        acc = src.scorer->ScoreAll(u);
+      }
+      // Exclusions: every 7th item, which overlaps the rated ones.
+      std::vector<ItemId> some;
+      for (ItemId i = 2; i < f.train.num_items(); i += 7) some.push_back(i);
+      for (const std::vector<ItemId>& exclusions :
+           {std::vector<ItemId>{}, some}) {
+        const int all = static_cast<int>(
+            SpecSelect(acc, 0.0, stat, {}, f.train, u, exclusions, 1 << 20)
+                .size());
+        for (const Cov& cov : covs) {
+          for (double theta : {0.0, 0.37, 1.0}) {
+            // Scan and dense regimes, and more than the candidates.
+            for (int top_n : {1, 5, 50, all, all + 7}) {
+              const std::vector<ScoredItem> want =
+                  SpecSelect(acc, theta, *cov.model, cov.counts, f.train, u,
+                             exclusions, top_n);
+              const std::vector<ScoredItem>& got = SelectGancTopKUnrated(
+                  raw, scale, theta, cov.model->Row(u, ctx), f.train, u,
+                  static_cast<size_t>(top_n), ctx, exclusions);
+              ExpectSameSelection(
+                  got, want,
+                  std::string(src.name) + ", user " + std::to_string(u) +
+                      ", " + cov.model->name() + ", theta " +
+                      std::to_string(theta) + ", top_n " +
+                      std::to_string(top_n) + ", " +
+                      std::to_string(exclusions.size()) + " exclusions");
+            }
+          }
         }
       }
     }
   }
+  // The kernel leaves the mask zeroed for the next user.
+  for (const uint8_t m : ctx.Flags()) ASSERT_EQ(m, 0);
+}
+
+uint64_t DoubleBits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+TEST(SelectGancTopKUnratedTest, ItemsWithinTheMarginAreScoredExactly) {
+  // An item whose bound p lies 2 ulps below its exact score e, behind a
+  // held item whose score sits between the two: the bound alone would
+  // drop it, and the 2^-40 margin must keep it.
+  Rng rng(5);
+  double lo = 0, range = 0, r = 0, theta = 0, c_b = 0, c_a = 0, e_b = 0;
+  bool found = false;
+  for (int t = 0; t < 1000000 && !found; ++t) {
+    lo = -5.0 + 10.0 * rng.Uniform();
+    range = (lo + (0.05 + 10.0 * rng.Uniform())) - lo;
+    r = lo + range * rng.Uniform();
+    theta = rng.Uniform();
+    c_b = rng.Uniform();
+    const double w = 1.0 - theta;
+    e_b = w * ((r - lo) / range) + theta * c_b;
+    const double p_b = w * ((r - lo) * (1.0 / range)) + theta * c_b;
+    if (DoubleBits(e_b) < DoubleBits(p_b) + 2) continue;
+    // A second coverage value whose exact score is one ulp below e_b.
+    const double target = std::nextafter(e_b, 0.0);
+    c_a = c_b;
+    for (int step = 0; step < 64; ++step) {
+      c_a = std::nextafter(c_a, 0.0);
+      const double e_a = w * ((r - lo) / range) + theta * c_a;
+      if (e_a <= target) {
+        found = e_a == target;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+
+  // Item 0 holds e_a; item 8, in the next block, has e_b > e_a but a
+  // bound below e_a. Every other item scores 0.
+  constexpr int32_t kItems = 16;
+  RatingDatasetBuilder builder(2, kItems);
+  ASSERT_TRUE(builder.Add(1, 3, 1.0f).ok());
+  Result<RatingDataset> train = std::move(builder).Build();
+  ASSERT_TRUE(train.ok());
+  std::vector<double> raw(kItems, lo), coverage(kItems, 0.0);
+  raw[0] = raw[8] = r;
+  coverage[0] = c_a;
+  coverage[8] = c_b;
+  ScoringContext ctx;
+  const std::vector<ScoredItem>& got = SelectGancTopKUnrated(
+      raw, RowScale{lo, range}, theta, coverage, *train, 0, 1, ctx);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].item, 8);
+  EXPECT_EQ(DoubleBits(got[0].score), DoubleBits(e_b));
+}
+
+TEST(SelectGancTopKUnratedTest, BlockBoundUsesEachItemsCoverage) {
+  // a(i) = 0.5 and c(i) = 0.1 at theta 0.5 give p = 0.3 < 0.5: the block
+  // is provably out. Bounding c by 1 instead (p = 0.75) would scan it.
+  const double raw[kGancBlock] = {1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5};
+  double coverage[kGancBlock] = {0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1};
+  EXPECT_TRUE(GancBlockBelow(raw, coverage, 1.0, 1.0, 0.5, 0.5));
+  // One item at the cut (p = 0.25 + 0.25) keeps the block.
+  coverage[5] = 0.5;
+  EXPECT_FALSE(GancBlockBelow(raw, coverage, 1.0, 1.0, 0.5, 0.5));
+  coverage[5] = 0.1;
+  // So does a NaN bound.
+  double nan_raw[kGancBlock];
+  std::copy(std::begin(raw), std::end(raw), std::begin(nan_raw));
+  nan_raw[7] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(GancBlockBelow(nan_raw, coverage, 1.0, 1.0, 0.5, 0.5));
+}
+
+TEST(SelectGancTopKUnratedTest, PureAccuracyAtThetaZero) {
+  Fixture f;
+  DynCoverage dyn(f.train.num_items());
+  const auto acc = f.scorer->ScoreAll(0);
+  const auto cands = f.train.UnratedItems(0);
+  ScoringContext ctx;
+  std::vector<double> raw(acc.size());
+  RowScale scale;
+  const UserId u = 0;
+  f.scorer->ScoreBatchScaledInto(std::span<const UserId>(&u, 1), raw,
+                                 std::span<RowScale>(&scale, 1));
+  const auto mixed = SelectGancTopKUnrated(raw, scale, 0.0, dyn.Row(0, ctx),
+                                           f.train, 0, 5, ctx);
+  // theta = 0 ignores coverage entirely: must equal the accuracy top-5.
+  const auto pure = SelectTopKFromScores(acc, cands, 5);
+  ASSERT_EQ(mixed.size(), 5u);
+  for (size_t k = 0; k < 5; ++k) EXPECT_EQ(mixed[k].item, pure[k].item);
+}
+
+TEST(SelectGancTopKUnratedTest, PureCoverageAtThetaOne) {
+  Fixture f;
+  StatCoverage stat(f.train);
+  const auto cands = f.train.UnratedItems(0);
+  ScoringContext ctx;
+  std::vector<double> raw(static_cast<size_t>(f.train.num_items()));
+  RowScale scale;
+  const UserId u = 0;
+  f.scorer->ScoreBatchScaledInto(std::span<const UserId>(&u, 1), raw,
+                                 std::span<RowScale>(&scale, 1));
+  const auto mixed = SelectGancTopKUnrated(raw, scale, 1.0, stat.Row(0, ctx),
+                                           f.train, 0, 5, ctx);
+  // theta = 1: every selected item must be among the least popular.
+  std::vector<ScoredItem> cov_scored;
+  for (ItemId i : cands) cov_scored.push_back({i, stat.Score(0, i)});
+  const auto pure = SelectTopK(cov_scored, 5);
+  ASSERT_EQ(mixed.size(), 5u);
+  for (size_t k = 0; k < 5; ++k) EXPECT_EQ(mixed[k].item, pure[k].item);
 }
 
 uint64_t CollectionDigest(const TopNCollection& topn) {
@@ -164,39 +475,78 @@ uint64_t CollectionDigest(const TopNCollection& topn) {
   return h.digest();
 }
 
-TEST(GancTest, PathsWithoutKdeKeepTheirDigests) {
-  // FNV-1a digests of RecommendAll taken before the binned KDE, the Dyn
-  // score table and the branch-free normalization. None of these paths
-  // draws a KDE sample, so every list keeps its bits, serial and pooled.
-  Fixture f;
+TEST(GancTest, EveryPathKeepsItsDigestOnEveryPoolSize) {
+  // FNV-1a digests of RecommendAll, serial and on pools of 1, 2, 4 and 8
+  // threads. On the 200-item fixture they were taken before the binned
+  // KDE, the Dyn score table and the branch-free normalization, so they
+  // cover only paths that draw no KDE sample. On the 203-item fixture,
+  // whose rows end in a partial block of the selection kernel's
+  // prefilter, they were taken before the fused kernel and the snapshot
+  // log replay.
+  Fixture f200;
+  Fixture f203(0, 203);
+  PopRecommender pop;
+  ASSERT_TRUE(pop.Fit(f203.train).ok());
+  const TopNIndicatorScorer indicator(&pop, &f203.train, 5);
   struct Case {
     const char* name;
+    const Fixture* f;
+    const AccuracyScorer* scorer;
     CoverageKind kind;
     int sample_size;
     bool kde_sampling;
+    bool order_by_theta;
     uint64_t digest;
   };
+  const AccuracyScorer* psvd200 = f200.scorer.get();
+  const AccuracyScorer* psvd203 = f203.scorer.get();
   const Case cases[] = {
-      {"Dyn, uniform sample", CoverageKind::kDyn, 40, false,
-       0xcbd9c469c43ce0f1ULL},
-      {"Dyn, full locally greedy", CoverageKind::kDyn, 0, true,
-       0x73af83173a353c12ULL},
-      {"Rand", CoverageKind::kRand, 40, true, 0x4eb950fe4f741324ULL},
-      {"Stat", CoverageKind::kStat, 40, true, 0x566d12a97c9e4713ULL},
+      {"200 items, Dyn, uniform sample", &f200, psvd200, CoverageKind::kDyn,
+       40, false, true, 0xcbd9c469c43ce0f1ULL},
+      {"200 items, Dyn, full locally greedy", &f200, psvd200,
+       CoverageKind::kDyn, 0, true, true, 0x73af83173a353c12ULL},
+      {"200 items, Rand", &f200, psvd200, CoverageKind::kRand, 40, true, true,
+       0x4eb950fe4f741324ULL},
+      {"200 items, Stat", &f200, psvd200, CoverageKind::kStat, 40, true, true,
+       0x566d12a97c9e4713ULL},
+      {"Dyn, KDE sample", &f203, psvd203, CoverageKind::kDyn, 40, true, true,
+       0x8ed5149e53ef4c74ULL},
+      {"Dyn, full locally greedy", &f203, psvd203, CoverageKind::kDyn, 0,
+       true, true, 0x7f6ff886236a2fd1ULL},
+      {"Dyn, uniform sample", &f203, psvd203, CoverageKind::kDyn, 40, false,
+       true, 0xe1afb563cacb2eadULL},
+      {"Dyn, arbitrary order", &f203, psvd203, CoverageKind::kDyn, 40, true,
+       false, 0xd2fa43dd52c01ee7ULL},
+      {"Rand", &f203, psvd203, CoverageKind::kRand, 40, true, true,
+       0x824209dee5035d92ULL},
+      {"Stat", &f203, psvd203, CoverageKind::kStat, 40, true, true,
+       0xb00cc1534fe851e9ULL},
+      {"Pop indicator, Dyn", &f203, &indicator, CoverageKind::kDyn, 40, true,
+       true, 0x6fed61aa597975a0ULL},
+      {"Pop indicator, Stat", &f203, &indicator, CoverageKind::kStat, 40,
+       true, true, 0xbea53e38fe05bbedULL},
   };
-  ThreadPool pool(4);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
   for (const Case& c : cases) {
-    Ganc ganc(f.scorer.get(), f.theta, c.kind);
+    Ganc ganc(c.scorer, c.f->theta, c.kind);
     GancConfig cfg;
     cfg.top_n = 5;
     cfg.sample_size = c.sample_size;
     cfg.kde_sampling = c.kde_sampling;
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      cfg.pool = p;
-      auto topn = ganc.RecommendAll(f.train, cfg);
-      ASSERT_TRUE(topn.ok()) << c.name;
-      EXPECT_EQ(CollectionDigest(*topn), c.digest)
-          << c.name << (p == nullptr ? ", serial" : ", pooled");
+    cfg.order_by_theta = c.order_by_theta;
+    auto serial = ganc.RecommendAll(c.f->train, cfg);
+    ASSERT_TRUE(serial.ok()) << c.name;
+    EXPECT_EQ(CollectionDigest(*serial), c.digest)
+        << c.name << ", serial: 0x" << std::hex << CollectionDigest(*serial);
+    for (const auto& pool : pools) {
+      cfg.pool = pool.get();
+      auto pooled = ganc.RecommendAll(c.f->train, cfg);
+      ASSERT_TRUE(pooled.ok()) << c.name;
+      EXPECT_EQ(CollectionDigest(*pooled), c.digest)
+          << c.name << ", " << pool->num_threads() << " threads";
     }
   }
 }

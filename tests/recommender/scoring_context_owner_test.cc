@@ -27,6 +27,19 @@ TEST(ScoringContextOwnerTest, SameThreadReuseIsFine) {
   SUCCEED();
 }
 
+TEST(ScoringContextSlotsTest, ItemSlotsKeepTheirAddress) {
+  // Callers hold Items(1) while asking for a higher slot (RBT's head and
+  // tail lists), so a new slot must not move the earlier ones.
+  ScoringContext ctx;
+  std::vector<ItemId>* head = &ctx.Items(1);
+  head->push_back(7);
+  for (size_t slot = 2; slot <= 7; ++slot) {
+    ctx.Items(slot).push_back(static_cast<ItemId>(slot));
+    EXPECT_EQ(&ctx.Items(1), head) << "after Items(" << slot << ")";
+  }
+  EXPECT_EQ(*head, std::vector<ItemId>{7});
+}
+
 TEST(ScoringContextOwnerTest, BindsToFirstUsingThreadNotConstructor) {
   // Constructing on one thread and using on another is allowed — the
   // chunked parallel loops construct per-chunk contexts wherever the

@@ -107,6 +107,34 @@ TEST(PayloadTest, VectorsRoundTripBitExactly) {
   EXPECT_EQ(ru64, u64);
 }
 
+TEST(PayloadTest, EmptyVectorsRoundTrip) {
+  // An empty vector's data() may be null: no reader may copy into it.
+  PayloadWriter w;
+  w.WriteVecF64({});
+  w.WriteVecF32({});
+  w.WriteVecI32({});
+  w.WriteVecU64({});
+  w.WriteVecI8({});
+
+  PayloadReader r(w.buffer());
+  std::vector<double> f64{1.0};
+  std::vector<float> f32{1.0f};
+  std::vector<int32_t> i32{1};
+  std::vector<uint64_t> u64{1};
+  std::vector<int8_t> i8{1};
+  ASSERT_TRUE(r.ReadVecF64(&f64).ok());
+  ASSERT_TRUE(r.ReadVecF32(&f32).ok());
+  ASSERT_TRUE(r.ReadVecI32(&i32).ok());
+  ASSERT_TRUE(r.ReadVecU64(&u64).ok());
+  ASSERT_TRUE(r.ReadVecI8(&i8).ok());
+  ASSERT_TRUE(r.ExpectEnd().ok());
+  EXPECT_TRUE(f64.empty());
+  EXPECT_TRUE(f32.empty());
+  EXPECT_TRUE(i32.empty());
+  EXPECT_TRUE(u64.empty());
+  EXPECT_TRUE(i8.empty());
+}
+
 TEST(PayloadTest, UnderrunReported) {
   PayloadWriter w;
   w.WriteU32(7);
