@@ -9,14 +9,16 @@
 
 #include <unistd.h>
 
-#include <array>
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -857,41 +859,62 @@ BENCHMARK(BM_ServeCacheHit);
 
 // --- Runtime-dispatched factor kernels -------------------------------
 //
-// ScoreBatchInto per dispatch variant x table precision — the committed
-// BENCH_kernel.json story. Registered dynamically (not via BENCHMARK)
-// because the variant set is a host property: only variants the CPU can
-// actually run are timed. Each benchmark pins its variant with
-// ForceKernelVariant and reports the resident factor-table bytes of the
-// precision it scores from.
+// The kernel census: ScoreBatchInto per dispatch variant x table
+// precision x census shape, one block call per iteration. Registered
+// dynamically (not via BENCHMARK) because the variant set is a host
+// property: only variants the CPU can actually run are timed. Each
+// benchmark pins its variant with ForceKernelVariant and reports the
+// resident factor-table bytes of the precision it scores from. Run it as
+// docs/ARCHITECTURE.md "Hardware-adaptive scoring kernels" shows; with
+// --benchmark_repetitions the q1/q3 aggregates give each cell's IQR.
 
-const FactorStore& KernelBenchStore(FactorPrecision precision) {
-  // One fp64 table set (500 x 40 users, 800 x 40 items, serve-shaped)
-  // narrowed/quantized per precision, so the three stores score the
-  // same model.
-  static const auto* stores = [] {
-    auto* built = new std::array<FactorStore, 3>();
+// {users per call, g, items}. The first three are the served shapes
+// (bench/e2e's 20K-item serving corpus and its ML-1M-sized offline
+// corpus, both PSVD10); the last is the historic cache-resident shape.
+constexpr int64_t kCensusShapes[][3] = {
+    {1, 10, 20000},  // a live serve_live / serve_session request
+    {8, 10, 20000},  // a full served block
+    {8, 10, 3706},   // an offline_ganc block
+    {1, 40, 20000},
+    {64, 40, 800},
+};
+
+// Enough distinct users that consecutive calls score different rows, as
+// a server's would.
+constexpr size_t kCensusUsers = 512;
+
+const FactorStore& KernelBenchStore(size_t g, size_t ni,
+                                    FactorPrecision precision) {
+  // One fp64 table set per (g, items), narrowed/quantized per precision
+  // so the three stores of a shape score the same model. Built on first
+  // use and kept: repetitions of one cell reuse it.
+  static std::map<std::tuple<size_t, size_t, FactorPrecision>,
+                  std::unique_ptr<FactorStore>>
+      stores;
+  std::unique_ptr<FactorStore>& slot = stores[{g, ni, precision}];
+  if (slot == nullptr) {
     Rng rng(11);
-    const size_t nu = 500, ni = 800, g = 40;
-    std::vector<double> user(nu * g);
+    std::vector<double> user(kCensusUsers * g);
     std::vector<double> item(ni * g);
     for (double& v : user) v = rng.Uniform() - 0.5;
     for (double& v : item) v = rng.Uniform() - 0.5;
-    const FactorPrecision precisions[3] = {FactorPrecision::kFp64,
-                                           FactorPrecision::kFp32,
-                                           FactorPrecision::kInt8};
-    for (size_t p = 0; p < 3; ++p) {
-      (*built)[p].AdoptFp64(user, item, nu, ni, g);
-      if (!(*built)[p].SetPrecision(precisions[p]).ok()) std::abort();
-    }
-    return built;
-  }();
-  switch (precision) {
-    case FactorPrecision::kFp64: return (*stores)[0];
-    case FactorPrecision::kFp32: return (*stores)[1];
-    case FactorPrecision::kInt8: return (*stores)[2];
+    slot = std::make_unique<FactorStore>();
+    slot->AdoptFp64(std::move(user), std::move(item), kCensusUsers, ni, g);
+    if (!slot->SetPrecision(precision).ok()) std::abort();
   }
-  std::abort();
+  return *slot;
 }
+
+double Quartile(const std::vector<double>& v, double q) {
+  std::vector<double> s = v;
+  std::sort(s.begin(), s.end());
+  const double pos = q * static_cast<double>(s.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, s.size() - 1);
+  return s[lo] + (pos - static_cast<double>(lo)) * (s[hi] - s[lo]);
+}
+double FirstQuartile(const std::vector<double>& v) { return Quartile(v, 0.25); }
+double ThirdQuartile(const std::vector<double>& v) { return Quartile(v, 0.75); }
 
 void FactorScoreLoop(benchmark::State& state, KernelVariant variant,
                      FactorPrecision precision) {
@@ -899,24 +922,26 @@ void FactorScoreLoop(benchmark::State& state, KernelVariant variant,
     state.SkipWithError("variant unsupported on this host");
     return;
   }
-  const FactorStore& store = KernelBenchStore(precision);
+  const size_t batch = static_cast<size_t>(state.range(0));
+  const size_t g = static_cast<size_t>(state.range(1));
+  const size_t ni = static_cast<size_t>(state.range(2));
+  const FactorStore& store = KernelBenchStore(g, ni, precision);
   FactorView view;
   store.BindView(&view);
-  view.num_items = static_cast<int32_t>(store.item_rows());
+  view.num_items = static_cast<int32_t>(ni);
   const FactorScoringEngine engine(view);
-  const size_t batch = 64;
-  const size_t ni = store.item_rows();
   ScoringContext ctx;
   std::vector<UserId> users(batch);
   UserId u = 0;
   for (auto _ : state) {
     for (size_t b = 0; b < batch; ++b) {
       users[b] = u;
-      u = (u + 1) % static_cast<UserId>(store.user_rows());
+      u = (u + 1) % static_cast<UserId>(kCensusUsers);
     }
     const std::span<double> out = ctx.BatchScores(batch * ni);
     engine.ScoreBatchInto(users, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch * ni));
@@ -933,10 +958,17 @@ void RegisterFactorScoreBenchmarks() {
       const std::string name = std::string("BM_FactorScore_") +
                                KernelVariantName(v) + "_" +
                                FactorPrecisionName(p);
-      benchmark::RegisterBenchmark(
+      auto* b = benchmark::RegisterBenchmark(
           name.c_str(), [v, p](benchmark::State& state) {
             FactorScoreLoop(state, v, p);
           });
+      b->ArgNames({"users", "g", "items"})
+          ->Unit(benchmark::kMicrosecond)
+          ->ComputeStatistics("q1", FirstQuartile)
+          ->ComputeStatistics("q3", ThirdQuartile);
+      for (const auto& shape : kCensusShapes) {
+        b->Args({shape[0], shape[1], shape[2]});
+      }
     }
   }
 }

@@ -36,15 +36,9 @@ class CoverageModel {
 
   /// c(u, ·) as a dense row over the catalog: entry i is Score(u, i) bit
   /// for bit. Stat and Dyn hand out the row they score from; Rand fills
-  /// ctx.Buffer(1). The row stays valid until the next Observe or the
+  /// ctx.Buffer(1). The row stays valid until DynCoverage::Observe or the
   /// next use of that buffer. GANC's selection kernel reads it in blocks.
   virtual std::span<const double> Row(UserId u, ScoringContext& ctx) const = 0;
-
-  /// Notifies the model that `i` was just recommended (no-op unless Dyn).
-  virtual void Observe(ItemId /*i*/) {}
-
-  /// True when Observe changes future scores (couples users' optima).
-  virtual bool IsDynamic() const { return false; }
 
   virtual std::string name() const = 0;
 };
@@ -122,11 +116,12 @@ class DynCoverage : public CoverageModel {
                               ScoringContext& /*ctx*/) const override {
     return values_;
   }
-  void Observe(ItemId i) override {
+  /// Notifies the model that `i` was just recommended: its future
+  /// coverage gain shrinks (this couples users' optima; OSLG calls it).
+  void Observe(ItemId i) {
     const size_t ii = static_cast<size_t>(i);
     values_[ii] = DynScoreTable::Get().Score(++counts_[ii]);
   }
-  bool IsDynamic() const override { return true; }
   std::string name() const override { return "Dyn"; }
 
   /// Running recommendation frequencies f^A.

@@ -140,17 +140,22 @@ std::vector<ScoredItem>& SelectGancTopKUnrated(
   return top;
 }
 
+Status CheckThetaRange(std::span<const double> theta) {
+  for (double t : theta) {
+    if (t < 0.0 || t > 1.0 || !std::isfinite(t)) {
+      return Status::InvalidArgument("theta entries must lie in [0, 1]");
+    }
+  }
+  return Status::OK();
+}
+
 Result<TopNCollection> Ganc::RecommendAll(const RatingDataset& train,
                                           const GancConfig& config) const {
   if (theta_.size() != static_cast<size_t>(train.num_users())) {
     return Status::InvalidArgument(
         "theta size does not match the number of users");
   }
-  for (double t : theta_) {
-    if (t < 0.0 || t > 1.0 || !std::isfinite(t)) {
-      return Status::InvalidArgument("theta entries must lie in [0, 1]");
-    }
-  }
+  GANC_RETURN_NOT_OK(CheckThetaRange(theta_));
   if (config.top_n <= 0) {
     return Status::InvalidArgument("top_n must be positive");
   }

@@ -68,6 +68,10 @@ struct GancConfig {
   ThreadPool* pool = nullptr;
 };
 
+/// OK when every theta entry is finite and in [0, 1], the range the
+/// mixed score and SelectGancTopKUnrated's skip bound assume.
+Status CheckThetaRange(std::span<const double> theta);
+
 /// The assembled framework. Borrows the scorer; copy of theta is taken.
 class Ganc {
  public:

@@ -39,6 +39,7 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::Create(
   Result<std::vector<double>> theta = ComputePreference(
       config.theta_model, train, config.seed, config.constant_theta);
   if (!theta.ok()) return theta.status();
+  GANC_RETURN_NOT_OK(CheckThetaRange(*theta));
   return std::unique_ptr<GancPipeline>(new GancPipeline(
       std::move(base), &train, config, std::move(theta).value(),
       ComputeLongTail(train), std::move(owned_pool)));
@@ -171,6 +172,7 @@ Result<std::unique_ptr<GancPipeline>> GancPipeline::FromArtifact(
     return Status::InvalidArgument(
         "pipeline artifact theta size does not match the bound train dataset");
   }
+  GANC_RETURN_NOT_OK(CheckThetaRange(theta));
 
   Result<ArtifactReader::Section> tail_section = r.ReadSectionExpect(
       kPipelineTailSection);

@@ -128,11 +128,10 @@ class GancPipeline {
   /// through this instead of re-deriving the adapter choice.
   const AccuracyScorer& scorer() const { return *scorer_; }
 
-  /// The configured coverage recommender kind and the seed it is built
-  /// with (RecommendationService rebuilds the per-request coverage model
-  /// from these, matching RecommendForUser exactly).
-  CoverageKind coverage_kind() const { return config_.coverage; }
-  uint64_t seed() const { return config_.seed; }
+  /// The coverage model RecommendForUser scores against (empty history
+  /// for Dyn). Nothing Observes it, so RecommendationService shares it
+  /// across concurrent requests.
+  const CoverageModel& coverage() const { return *coverage_; }
 
   /// "GANC(<base>, <theta>, <coverage>)".
   std::string name() const;
@@ -160,7 +159,7 @@ class GancPipeline {
   std::unique_ptr<Ganc> ganc_;
   /// RecommendForUser's coverage model, built once: it is never
   /// Observed, so concurrent const calls can share it.
-  std::unique_ptr<CoverageModel> coverage_;
+  std::unique_ptr<const CoverageModel> coverage_;
   std::unique_ptr<ThreadPool> owned_pool_;  // when config_.num_threads != 1
 };
 

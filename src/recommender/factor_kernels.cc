@@ -1,36 +1,24 @@
-// Kernel dispatch: cpuid eligibility, startup micro-probe, GANC_KERNEL
-// override. See factor_kernels.h for the selection contract.
+// Kernel dispatch: cpuid selection and the GANC_KERNEL override. See
+// factor_kernels.h for the selection contract.
 
 #include "recommender/factor_kernels.h"
 
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
 #include "recommender/factor_kernels_impl.h"
-#include "util/aligned.h"
 
 namespace ganc {
 
 namespace {
 
-// Synthetic probe workload: two full user blocks against a catalog big
-// enough that q_i streaming dominates, small enough that the whole
-// probe (4 variants x 4 runs) costs single-digit milliseconds.
-constexpr size_t kProbeUsers = 2 * kFactorKernelUserBlock;
-constexpr size_t kProbeItems = 512;
-constexpr size_t kProbeFactors = 48;
-constexpr int kProbeRuns = 3;  // timed runs per variant; best-of wins
-
 struct DispatchState {
   std::mutex mu;
   bool selected = false;
   KernelVariant active = KernelVariant::kScalar;
-  const char* source = "probe";
-  std::array<double, kNumKernelVariants> probe_ns{};
+  const char* source = "cpuid";
   // Fast path: ScoreBatchInto reads this without the lock once selected.
   std::atomic<const KernelOps*> active_ops{nullptr};
 };
@@ -43,7 +31,6 @@ DispatchState& State() {
 bool VariantCompiled(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar: return true;
-    case KernelVariant::kSse2: return internal::Sse2KernelCompiled();
     case KernelVariant::kAvx2: return internal::Avx2KernelCompiled();
     case KernelVariant::kAvx512: return internal::Avx512KernelCompiled();
   }
@@ -55,8 +42,6 @@ bool CpuRuns(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar:
       return true;
-    case KernelVariant::kSse2:
-      return __builtin_cpu_supports("sse2");
     case KernelVariant::kAvx2:
       return __builtin_cpu_supports("avx2");
     case KernelVariant::kAvx512:
@@ -70,90 +55,28 @@ bool CpuRuns(KernelVariant v) {
 #endif
 }
 
-// Deterministic fill so every probe (and every variant within one
-// probe) scores the same block.
-double ProbeValue(uint64_t& lcg) {
-  lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-  return static_cast<double>((lcg >> 11) & 0xFFFFF) / 1048576.0 - 0.5;
-}
-
-// Times each supported variant's fp64 kernel (the dominant serving
-// path) and records ns per scored user in state.probe_ns.
-KernelVariant RunProbe(DispatchState& s) {
-  AlignedVector<double> user(kProbeUsers * kProbeFactors);
-  AlignedVector<double> item(kProbeItems * kProbeFactors);
-  AlignedVector<double> bias(kProbeItems);
-  AlignedVector<double> base(kProbeUsers);
-  uint64_t lcg = 0x9E3779B97F4A7C15ULL;
-  for (double& x : user) x = ProbeValue(lcg);
-  for (double& x : item) x = ProbeValue(lcg);
-  for (double& x : bias) x = ProbeValue(lcg);
-  for (double& x : base) x = ProbeValue(lcg);
-
-  FactorView v;
-  v.user_factors = user.data();
-  v.item_factors = item.data();
-  v.item_bias = bias.data();
-  v.user_base = base.data();
-  v.num_items = static_cast<int32_t>(kProbeItems);
-  v.num_factors = kProbeFactors;
-
-  std::array<UserId, kProbeUsers> users;
-  for (size_t u = 0; u < kProbeUsers; ++u) users[u] = static_cast<UserId>(u);
-  AlignedVector<double> out(kProbeUsers * kProbeItems);
-
-  KernelVariant best = KernelVariant::kScalar;
-  double best_ns = 0.0;
-  for (size_t idx = 0; idx < kNumKernelVariants; ++idx) {
-    const KernelVariant cand = static_cast<KernelVariant>(idx);
-    if (!KernelVariantSupported(cand)) continue;
-    const KernelOps& ops = KernelOpsFor(cand);
-    ops.batch_f64(v, users, out);  // warm up caches + first-touch scratch
-    double ns = 0.0;
-    for (int run = 0; run < kProbeRuns; ++run) {
-      const auto t0 = std::chrono::steady_clock::now();
-      ops.batch_f64(v, users, out);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double run_ns =
-          std::chrono::duration<double, std::nano>(t1 - t0).count() /
-          static_cast<double>(kProbeUsers);
-      if (run == 0 || run_ns < ns) ns = run_ns;
-    }
-    s.probe_ns[idx] = ns;
-    if (best_ns == 0.0 || ns < best_ns) {
-      best_ns = ns;
-      best = cand;
-    }
-  }
-  return best;
-}
-
-// Selection under s.mu: env override first, else probe.
+// Selection under s.mu: a runnable GANC_KERNEL first, else the widest
+// supported variant.
 void SelectLocked(DispatchState& s) {
-  s.probe_ns.fill(0.0);
+  s.active = SupportedKernelVariants().back();
+  s.source = "cpuid";
   const char* env = std::getenv("GANC_KERNEL");
   if (env != nullptr && env[0] != '\0') {
     Result<KernelVariant> parsed = ParseKernelVariant(env);
     if (!parsed.ok()) {
       std::fprintf(stderr,
-                   "ganc: ignoring GANC_KERNEL=%s (%s); probing instead\n", env,
-                   parsed.status().message().c_str());
+                   "ganc: ignoring GANC_KERNEL=%s (%s); selecting by cpuid\n",
+                   env, parsed.status().message().c_str());
     } else if (!KernelVariantSupported(*parsed)) {
-      std::fprintf(
-          stderr,
-          "ganc: GANC_KERNEL=%s is not runnable on this host; probing "
-          "instead\n",
-          env);
+      std::fprintf(stderr,
+                   "ganc: GANC_KERNEL=%s is not runnable on this host; "
+                   "selecting by cpuid\n",
+                   env);
     } else {
       s.active = *parsed;
       s.source = "env";
-      s.selected = true;
-      s.active_ops.store(&KernelOpsFor(s.active), std::memory_order_release);
-      return;
     }
   }
-  s.active = RunProbe(s);
-  s.source = "probe";
   s.selected = true;
   s.active_ops.store(&KernelOpsFor(s.active), std::memory_order_release);
 }
@@ -168,7 +91,6 @@ void EnsureSelected(DispatchState& s) {
 const char* KernelVariantName(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar: return "scalar";
-    case KernelVariant::kSse2: return "sse2";
     case KernelVariant::kAvx2: return "avx2";
     case KernelVariant::kAvx512: return "avx512";
   }
@@ -177,18 +99,16 @@ const char* KernelVariantName(KernelVariant v) {
 
 Result<KernelVariant> ParseKernelVariant(const std::string& s) {
   if (s == "scalar") return KernelVariant::kScalar;
-  if (s == "sse2") return KernelVariant::kSse2;
   if (s == "avx2") return KernelVariant::kAvx2;
   if (s == "avx512") return KernelVariant::kAvx512;
   return Status::InvalidArgument(
       "unknown kernel variant '" + s +
-      "' (expected scalar, sse2, avx2, or avx512)");
+      "' (expected scalar, avx2, or avx512)");
 }
 
 const KernelOps& KernelOpsFor(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar: return internal::ScalarKernelOps();
-    case KernelVariant::kSse2: return internal::Sse2KernelOps();
     case KernelVariant::kAvx2: return internal::Avx2KernelOps();
     case KernelVariant::kAvx512: return internal::Avx512KernelOps();
   }
@@ -228,13 +148,6 @@ const char* ActiveKernelSelection() {
   EnsureSelected(s);
   std::lock_guard<std::mutex> lock(s.mu);
   return s.source;
-}
-
-std::vector<double> KernelProbeNsPerUser() {
-  DispatchState& s = State();
-  EnsureSelected(s);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return std::vector<double>(s.probe_ns.begin(), s.probe_ns.end());
 }
 
 Status ForceKernelVariant(KernelVariant v) {

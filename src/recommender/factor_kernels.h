@@ -1,22 +1,22 @@
 // Runtime-dispatched batch scoring kernels for FactorScoringEngine.
 //
-// The batch path ScoreBatchInto is implemented four times — scalar,
-// SSE2, AVX2, AVX-512 — each in its own translation unit compiled with
+// The batch path ScoreBatchInto has three kernel variants — scalar,
+// AVX2, AVX-512 — each in its own translation unit compiled with
 // exactly the ISA flags it needs (CMakeLists.txt sets per-source
-// options; there is no global -march). Dispatch picks one variant per
-// process at first use:
+// options; there is no global -march). A variant is a table of one
+// kernel per precision, and each table holds only kernels that win
+// their cells of the kernel census (docs/ARCHITECTURE.md,
+// "Hardware-adaptive scoring kernels"):
 //
-//   1. cpuid gates which variants are *eligible* (compiled in AND the
-//      CPU reports the ISA), then
-//   2. a micro-probe times every eligible variant's fp64 kernel on a
-//      synthetic factor block and pins the fastest. Probing — not
-//      cpuid alone — is the selector because on virtualized hosts
-//      (including this repo's CI box, see BENCH_kernel.json) wide
-//      vectors can measurably lose to the scalar block.
-//   3. A GANC_KERNEL=scalar|sse2|avx2|avx512 environment override skips
-//      the probe and pins that variant (tests/CI iterate it); naming a
-//      variant the host cannot run falls back to the probe with a
-//      warning.
+//   scalar  fp64=scalar fp32=scalar int8=scalar   (reference, fallback)
+//   avx2    fp64=avx2   fp32=avx2   int8=avx2
+//   avx512  fp64=avx2   fp32=avx2   int8=avx512
+//
+// Dispatch pins one variant per process at first use: the widest one
+// that is compiled in and that cpuid reports the CPU runs. A
+// GANC_KERNEL=scalar|avx2|avx512 environment variable pins that variant
+// instead (CI replays the parity suites under each); an unknown name, or
+// one the host cannot run, warns and falls back to cpuid.
 //
 // Every variant is bit-identical to the scalar reference at every
 // precision: fp64/fp32 kernels vectorize across the 8-lane user block
@@ -43,16 +43,16 @@ namespace ganc {
 /// exported as FactorScoringEngine::kUserBlock / kScoreBatch).
 inline constexpr size_t kFactorKernelUserBlock = 8;
 
+/// In order of width: dispatch by cpuid takes the last supported one.
 enum class KernelVariant : uint8_t {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
-inline constexpr size_t kNumKernelVariants = 4;
+inline constexpr size_t kNumKernelVariants = 3;
 
-/// Lowercase name as accepted by GANC_KERNEL ("scalar", "sse2", ...).
+/// Lowercase name as accepted by GANC_KERNEL ("scalar", "avx2", ...).
 const char* KernelVariantName(KernelVariant v);
 Result<KernelVariant> ParseKernelVariant(const std::string& s);
 
@@ -82,26 +82,21 @@ bool KernelVariantSupported(KernelVariant v);
 /// The supported variants, in enum order (always starts with kScalar).
 std::vector<KernelVariant> SupportedKernelVariants();
 
-/// The pinned dispatch choice (env override or micro-probe winner;
-/// selected once per process on first call, then constant).
+/// The pinned dispatch choice (env override or the widest supported
+/// variant; selected once per process on first call, then constant).
 KernelVariant ActiveKernelVariant();
 const KernelOps& ActiveKernelOps();
 
-/// How the active variant was chosen: "env" (GANC_KERNEL), "probe"
-/// (micro-probe timing), or "forced" (ForceKernelVariant).
+/// How the active variant was chosen: "env" (GANC_KERNEL), "cpuid"
+/// (the widest supported variant), or "forced" (ForceKernelVariant).
 const char* ActiveKernelSelection();
-
-/// Probe timings from the last selection, ns per scored user, indexed by
-/// KernelVariant; 0.0 for variants that were not probed (unsupported, or
-/// selection bypassed the probe). Forces selection to run first.
-std::vector<double> KernelProbeNsPerUser();
 
 /// Re-pins dispatch to `v` (tests/bench iterate variants in-process).
 /// Fails without changing the active variant when `v` is unsupported.
 Status ForceKernelVariant(KernelVariant v);
 
 /// Drops any pinned choice; the next ActiveKernel* call re-runs env /
-/// probe selection.
+/// cpuid selection.
 void ResetKernelDispatch();
 
 }  // namespace ganc

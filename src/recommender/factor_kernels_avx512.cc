@@ -1,67 +1,26 @@
-// AVX-512 kernel variant: the full 8-user lane block as a single
-// __m512d accumulator (fp64); fp32 and int8 reuse the 256-bit shapes
-// (8 float lanes / 8 int32 madd lanes already fill one ymm — going to
-// zmm there would halve the block's register chains, not widen them).
-// Compiled with -mavx512f -mavx512bw -mavx512vl -ffp-contract=off and
-// no -mfma (CMakeLists.txt) to preserve fp64 bit-identity.
+// AVX-512 kernel variant: AVX2's fp64 and fp32 kernels, and its own
+// int8 kernel. The int8 kernel is the same 256-bit source as AVX2's
+// (factor_kernels_avx2_traits.h); compiled with -mavx512f -mavx512bw
+// -mavx512vl, GCC vectorizes the per-item 8-lane DequantDot combine
+// that the -mavx2 build leaves scalar, which makes it about 2x faster
+// at full blocks. A __m512d fp64 kernel and an AVX-512 build of the
+// fp32 kernel won no cell of the kernel census (docs/ARCHITECTURE.md)
+// and were removed.
+// Compiled with -ffp-contract=off and no -mfma (CMakeLists.txt).
 
 #include "recommender/factor_kernels_impl.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
 
-#include <immintrin.h>
+#include "recommender/factor_kernels_avx2_traits.h"
 
 namespace ganc {
 namespace internal {
-namespace {
-
-struct Avx512Traits {
-  using F64 = __m512d;
-  static constexpr size_t kRegsF64 = 1;
-  static constexpr size_t kLanesF64 = 8;
-  static F64 LoadF64(const double* p) { return _mm512_load_pd(p); }
-  static void StoreF64(double* p, F64 v) { _mm512_store_pd(p, v); }
-  static F64 BroadcastF64(double x) { return _mm512_set1_pd(x); }
-  static F64 AddF64(F64 a, F64 b) { return _mm512_add_pd(a, b); }
-  static F64 MulAddF64(F64 acc, F64 a, F64 b) {
-    return _mm512_add_pd(acc, _mm512_mul_pd(a, b));
-  }
-  static F64 ZeroF64() { return _mm512_setzero_pd(); }
-
-  using F32 = __m256;
-  static constexpr size_t kRegsF32 = 1;
-  static constexpr size_t kLanesF32 = 8;
-  static F32 LoadF32(const float* p) { return _mm256_load_ps(p); }
-  static void StoreF32(float* p, F32 v) { _mm256_store_ps(p, v); }
-  static F32 BroadcastF32(float x) { return _mm256_set1_ps(x); }
-  static F32 AddF32(F32 a, F32 b) { return _mm256_add_ps(a, b); }
-  static F32 MulAddF32(F32 acc, F32 a, F32 b) {
-    return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
-  }
-  static F32 ZeroF32() { return _mm256_setzero_ps(); }
-
-  using I32 = __m256i;
-  static constexpr size_t kRegsI32 = 1;
-  static constexpr size_t kI16PerReg = 16;
-  static I32 ZeroI32() { return _mm256_setzero_si256(); }
-  static I32 BroadcastPair(int32_t pair) { return _mm256_set1_epi32(pair); }
-  static I32 MaddAcc(I32 acc, const int16_t* pack, I32 pair) {
-    return _mm256_add_epi32(
-        acc,
-        _mm256_madd_epi16(
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(pack)), pair));
-  }
-  static void StoreI32(int32_t* p, I32 v) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
-  }
-};
-
-}  // namespace
 
 const KernelOps& Avx512KernelOps() {
-  static const KernelOps ops{&DispatchF64<Avx512Traits>,
-                             &DispatchF32<Avx512Traits>,
-                             &DispatchI8<Avx512Traits>};
+  static const KernelOps ops{Avx2KernelOps().batch_f64,
+                             Avx2KernelOps().batch_f32,
+                             &DispatchI8<Avx2Traits>};
   return ops;
 }
 

@@ -2,10 +2,11 @@
 // factor kernel TUs (factor_kernels*.cc). Not part of the public API.
 //
 // The SIMD variants share one template per precision, parameterized on
-// a traits struct that maps 8 user lanes onto the ISA's registers. The
-// templates are instantiated only inside the variant TUs, which are the
-// only TUs compiled with the matching ISA flags (see CMakeLists.txt) —
-// this header itself contains no intrinsics.
+// a traits struct that maps 8 user lanes onto the ISA's registers
+// (factor_kernels_avx2_traits.h). The templates are instantiated only
+// inside the variant TUs, which are the only TUs compiled with the
+// matching ISA flags (see CMakeLists.txt) — this header itself contains
+// no intrinsics.
 //
 // Bit-identity contract (vs the scalar reference kernel):
 //   fp64/fp32  each SIMD lane replays one user's scalar accumulation
@@ -34,10 +35,8 @@ namespace internal {
 // when a TU is compiled without its ISA it returns the scalar table and
 // reports Compiled() == false (dispatch then never selects it).
 const KernelOps& ScalarKernelOps();
-const KernelOps& Sse2KernelOps();
 const KernelOps& Avx2KernelOps();
 const KernelOps& Avx512KernelOps();
-bool Sse2KernelCompiled();
 bool Avx2KernelCompiled();
 bool Avx512KernelCompiled();
 

@@ -13,8 +13,9 @@
 //   ScoreInto       one user, the classic scalar dot-product loop.
 //   ScoreBatchInto  a user batch, routed through the runtime-dispatched
 //                   kernel table (factor_kernels.h): scalar reference or
-//                   a SIMD variant picked per process by cpuid gating +
-//                   a startup micro-probe (GANC_KERNEL overrides).
+//                   the widest SIMD variant cpuid reports, pinned per
+//                   process (GANC_KERNEL overrides). AVX-512 runs AVX2's
+//                   fp64/fp32 kernels and its own int8 one.
 //
 // Parity contract: at fp64, every dispatch variant is bit-identical to
 // ScoreInto (each (u, i) pair keeps one accumulator walked in factor

@@ -67,9 +67,9 @@ class FactorStore {
   std::span<const double> item_f64() const { return item_f64_view_; }
 
   /// Bytes in the active factor tables (incl. quantization side
-  /// tables) — the number BENCH_kernel.json reports. For a store loaded
-  /// from a file these bytes are file-backed page cache, not private
-  /// RSS.
+  /// tables) — micro's BM_FactorScore_* factor_table_bytes counter. For
+  /// a store loaded from a file these bytes are file-backed page cache,
+  /// not private RSS.
   size_t ResidentBytes() const;
 
   /// Serializes the active tables as one section payload, 8-aligning

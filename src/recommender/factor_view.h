@@ -25,7 +25,7 @@
 //
 // DequantDot() below is that combine; every kernel variant calls the
 // same inline double-precision expression, which is what makes int8
-// scores bit-identical across scalar/SSE2/AVX2/AVX-512 dispatch.
+// scores bit-identical across scalar/AVX2/AVX-512 dispatch.
 
 #ifndef GANC_RECOMMENDER_FACTOR_VIEW_H_
 #define GANC_RECOMMENDER_FACTOR_VIEW_H_

@@ -55,11 +55,9 @@ Status RecommendationService::Init(const Recommender* model,
       return Status::InvalidArgument(
           "pipeline theta does not match the train set");
     }
-    // The empty-history coverage snapshot RecommendForUser scores
-    // against, built once and shared: no request ever Observes, so the
-    // model is immutable and safe for concurrent Score calls.
-    coverage_ = MakeCoverage(pipeline->coverage_kind(), *train_,
-                             pipeline->seed());
+    // The empty-history coverage model RecommendForUser scores against:
+    // nothing Observes it, so concurrent requests can share it.
+    coverage_ = &pipeline->coverage();
     source_ = pipeline->name();
     factor_precision_ = pipeline->factor_precision();
   }
@@ -68,19 +66,17 @@ Status RecommendationService::Init(const Recommender* model,
   instruments_ = ServeInstruments::Resolve(registry);
   if (config_.domain_metrics) {
     Result<std::unique_ptr<DomainAccountant>> acct = DomainAccountant::Create(
-        *train_, registry, config_.metrics_generation,
-        config_.domain_sweep_budget_bytes);
+        *train_, registry, config_.metrics_generation);
     if (!acct.ok()) return acct.status();
     domain_ = std::move(acct).value();
   }
   if (config_.cache_capacity > 0) {
-    cache_ = std::make_unique<ServeResultCache>(config_.cache_capacity,
-                                                config_.cache_shards);
+    cache_ = std::make_unique<ServeResultCache>(config_.cache_capacity);
   }
   if (config_.micro_batching) {
     MicroBatcherConfig mb;
     mb.num_workers = static_cast<size_t>(config_.num_workers);
-    mb.batch_size = std::max<size_t>(config_.batch_size, 1);
+    mb.batch_size = kScoreBatch;
     mb.max_batch_wait =
         std::chrono::microseconds(std::max(config_.max_batch_wait_us, 0));
     mb.metrics = &instruments_;

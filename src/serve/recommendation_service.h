@@ -61,15 +61,14 @@ namespace ganc {
 
 /// Serving knobs.
 struct ServiceConfig {
-  /// Scoring worker threads behind the micro-batcher.
+  /// Scoring worker threads behind the micro-batcher. Each scoring block
+  /// holds up to kScoreBatch requests (the 8-user engine block).
   int num_workers = 1;
-  /// Requests per scoring block (default: the 8-user engine block).
-  size_t batch_size = kScoreBatch;
   /// Bounded-wait flush ceiling for partial blocks, microseconds.
   int max_batch_wait_us = 200;
-  /// Total LRU result-cache entries (0 disables the cache).
+  /// Total LRU result-cache entries, over 8 lock shards (0 disables
+  /// the cache).
   size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
   /// false = one-request-at-a-time baseline: no scheduler, scoring runs
   /// on the calling thread (the committed BENCH_serving.json baseline).
   bool micro_batching = true;
@@ -95,9 +94,6 @@ struct ServiceConfig {
   /// Maintain live novelty/coverage accounting (one bounded popularity
   /// sweep of the train set at service construction).
   bool domain_metrics = true;
-  /// Row-payload residency budget for that sweep; <= 0 uses a fixed
-  /// modest default (see serve_metrics.cc).
-  int64_t domain_sweep_budget_bytes = 0;
 };
 
 /// Owns the serving snapshot and the request path.
@@ -215,11 +211,11 @@ class RecommendationService {
   FactorPrecision factor_precision_ = FactorPrecision::kFp64;
 
   // Snapshot scoring state. Model mode sets model_; pipeline mode sets
-  // scorer_/theta_/coverage_.
+  // scorer_/theta_/coverage_, all borrowed from the pipeline.
   const Recommender* model_ = nullptr;
   const AccuracyScorer* scorer_ = nullptr;
   const std::vector<double>* theta_ = nullptr;
-  std::unique_ptr<CoverageModel> coverage_;
+  const CoverageModel* coverage_ = nullptr;
 
   // Artifact-loading ctors park ownership here.
   std::unique_ptr<Recommender> owned_model_;

@@ -13,7 +13,7 @@ namespace {
 // sweep. Deliberately small and fixed: service construction must not
 // widen the mapped server's RSS envelope (the scale-smoke CI job pins
 // it), and the counts are budget-independent anyway.
-constexpr int64_t kDefaultSweepBudgetBytes = 8 << 20;
+constexpr int64_t kSweepBudgetBytes = 8 << 20;
 
 }  // namespace
 
@@ -62,13 +62,11 @@ ServeInstruments ServeInstruments::Resolve(MetricsRegistry& registry) {
 
 Result<std::unique_ptr<DomainAccountant>> DomainAccountant::Create(
     const RatingDataset& train, MetricsRegistry& registry,
-    uint64_t generation, int64_t sweep_budget_bytes) {
+    uint64_t generation) {
   const size_t n_items = static_cast<size_t>(train.num_items());
   std::vector<double> pop(n_items, 0.0);
-  const int64_t budget =
-      sweep_budget_bytes > 0 ? sweep_budget_bytes : kDefaultSweepBudgetBytes;
   GANC_RETURN_NOT_OK(train.SweepRowWindows(
-      budget, /*align_users=*/1, [&](const RowWindow& w) {
+      kSweepBudgetBytes, /*align_users=*/1, [&](const RowWindow& w) {
         for (UserId u = w.begin; u < w.end; ++u) {
           for (const ItemRating& r : train.ItemsOf(u)) {
             pop[static_cast<size_t>(r.item)] += 1.0;

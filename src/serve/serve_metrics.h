@@ -66,12 +66,12 @@ struct ServeInstruments {
 class DomainAccountant {
  public:
   /// Builds the popularity/novelty table and long-tail partition for
-  /// `train` with one bounded row-window sweep (`sweep_budget_bytes` of
-  /// row payload resident at a time; <= 0 uses a fixed modest default),
-  /// then resolves the gen-labeled series in `registry`.
+  /// `train` with one bounded row-window sweep (8 MiB of row payload
+  /// resident at a time), then resolves the gen-labeled series in
+  /// `registry`.
   static Result<std::unique_ptr<DomainAccountant>> Create(
       const RatingDataset& train, MetricsRegistry& registry,
-      uint64_t generation, int64_t sweep_budget_bytes = 0);
+      uint64_t generation);
 
   DomainAccountant(const DomainAccountant&) = delete;
   DomainAccountant& operator=(const DomainAccountant&) = delete;

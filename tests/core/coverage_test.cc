@@ -28,7 +28,6 @@ TEST(RandCoverageTest, UnitIntervalDeterministic) {
       EXPECT_DOUBLE_EQ(s, cov.Score(u, i));  // stable
     }
   }
-  EXPECT_FALSE(cov.IsDynamic());
 }
 
 TEST(RandCoverageTest, VariesAcrossUsersAndItems) {
@@ -45,7 +44,6 @@ TEST(StatCoverageTest, InverseSqrtOfPopularity) {
                 1.0 / std::sqrt(static_cast<double>(ds.Popularity(i)) + 1.0),
                 1e-12);
   }
-  EXPECT_FALSE(cov.IsDynamic());
 }
 
 TEST(StatCoverageTest, UnratedItemGetsMaxScore) {
@@ -67,7 +65,6 @@ TEST(DynCoverageTest, StartsAtOneAndDecays) {
   cov.Observe(2);
   EXPECT_NEAR(cov.Score(0, 2), 1.0 / std::sqrt(3.0), 1e-12);
   EXPECT_DOUBLE_EQ(cov.Score(0, 1), 1.0);  // untouched item unchanged
-  EXPECT_TRUE(cov.IsDynamic());
 }
 
 TEST(DynCoverageTest, DiminishingReturnsProperty) {
@@ -188,7 +185,9 @@ TEST(MakeCoverageTest, FactoryProducesCorrectKinds) {
   EXPECT_EQ(MakeCoverage(CoverageKind::kRand, ds, 1)->name(), "Rand");
   EXPECT_EQ(MakeCoverage(CoverageKind::kStat, ds, 1)->name(), "Stat");
   EXPECT_EQ(MakeCoverage(CoverageKind::kDyn, ds, 1)->name(), "Dyn");
-  EXPECT_TRUE(MakeCoverage(CoverageKind::kDyn, ds, 1)->IsDynamic());
+  EXPECT_NE(dynamic_cast<DynCoverage*>(
+                MakeCoverage(CoverageKind::kDyn, ds, 1).get()),
+            nullptr);
 }
 
 TEST(CoverageKindNameTest, Names) {

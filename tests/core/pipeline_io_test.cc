@@ -4,7 +4,10 @@
 
 #include "core/pipeline.h"
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -97,6 +100,29 @@ std::string CorruptLastRow(const std::string& path, const std::string& name) {
   return bad_path;
 }
 
+/// Rewrites the pipeline artifact `bytes` with its first theta entry set
+/// to `theta0`, re-sealing the theta section checksum so only the range
+/// check can catch it.
+std::string PatchFirstTheta(std::string bytes, double theta0) {
+  std::istringstream is(bytes, std::ios::binary);
+  auto r = ArtifactReader::OpenStream(is);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r->ReadSectionExpect(1).ok());
+  auto theta = r->ReadSectionExpect(2);
+  EXPECT_TRUE(theta.ok());
+  const size_t off =
+      static_cast<size_t>(theta->payload.data() - r->bytes()->view().data());
+  const size_t size = theta->payload.size();
+  // Payload: u64 count, then the f64 entries.
+  std::memcpy(bytes.data() + off + 8, &theta0, sizeof(theta0));
+  const uint64_t checksum = Fnv1aHash(bytes.data() + off, size);
+  for (int i = 0; i < 8; ++i) {
+    bytes[off + size + static_cast<size_t>(i)] =
+        static_cast<char>(checksum >> (8 * i));
+  }
+  return bytes;
+}
+
 TEST(PipelineIoTest, RoundTripReproducesRecommendAllExactly) {
   const RatingDataset train = MakeData();
   const std::unique_ptr<GancPipeline> pipeline = MakePipeline(train);
@@ -183,6 +209,37 @@ TEST(PipelineIoTest, CorruptEmbeddedModelRejected) {
   bytes[bytes.size() - 30] ^= 0x5A;
   std::istringstream is(bytes, std::ios::binary);
   EXPECT_FALSE(GancPipeline::Load(is, train).ok());
+}
+
+TEST(PipelineIoTest, CreateRejectsThetaOutsideUnitInterval) {
+  const RatingDataset train = MakeData();
+  for (const double constant : {1.5, std::nan("")}) {
+    PipelineConfig config;
+    config.theta_model = PreferenceModel::kConstant;
+    config.constant_theta = constant;
+    auto pipeline = GancPipeline::Create(std::make_unique<PopRecommender>(),
+                                         train, config);
+    ASSERT_FALSE(pipeline.ok()) << constant;
+    EXPECT_EQ(pipeline.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(pipeline.status().message(), "theta entries must lie in [0, 1]");
+  }
+}
+
+TEST(PipelineIoTest, LoadRejectsThetaOutsideUnitInterval) {
+  const RatingDataset train = MakeData();
+  const std::string bytes = Serialize(*MakePipeline(train));
+  // The patch itself is sound: an in-range value still loads.
+  const std::string ok_path = TestPath("pipeline_theta_half.gap");
+  WriteBytes(ok_path, PatchFirstTheta(bytes, 0.5));
+  EXPECT_TRUE(GancPipeline::LoadFile(ok_path, train).ok());
+
+  const std::string bad_path = TestPath("pipeline_theta_1_5.gap");
+  WriteBytes(bad_path, PatchFirstTheta(bytes, 1.5));
+  auto loaded = GancPipeline::LoadFile(bad_path, train);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(), "theta entries must lie in [0, 1]");
+  std::remove(ok_path.c_str());
+  std::remove(bad_path.c_str());
 }
 
 TEST(PipelineIoTest, TruncationRejected) {

@@ -1,5 +1,5 @@
 // Dispatch suite for the runtime-selected SIMD scoring kernels: every
-// host-supported variant (scalar, SSE2, AVX2, AVX-512) must produce
+// host-supported variant (scalar, AVX2, AVX-512) must produce
 // bit-identical batch scores at every factor precision — fp64/fp32
 // because each SIMD lane replays the scalar per-user accumulation
 // sequence with contraction disabled, int8 because the integer dot is
@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,7 +34,7 @@ static_assert(kScoringAlignment == 64,
 static_assert(FactorScoringEngine::kUserBlock == kFactorKernelUserBlock,
               "engine block size must match the kernel block size");
 
-// Restores probe/env selection after each test that pins a variant.
+// Restores env/cpuid selection after each test that pins a variant.
 struct DispatchGuard {
   ~DispatchGuard() { ResetKernelDispatch(); }
 };
@@ -132,36 +133,56 @@ TEST(FactorKernelsTest, ForceRejectsUnsupportedVariantsAndKeepsActive) {
   EXPECT_STREQ(ActiveKernelSelection(), "forced");
 }
 
-TEST(FactorKernelsTest, EnvOverridePinsVariantWithoutProbe) {
-  if (!KernelVariantSupported(KernelVariant::kSse2)) {
-    GTEST_SKIP() << "host cannot run sse2";
+TEST(FactorKernelsTest, EnvOverridePinsVariant) {
+  if (!KernelVariantSupported(KernelVariant::kAvx2)) {
+    GTEST_SKIP() << "host cannot run avx2";
   }
   DispatchGuard guard;
-  ASSERT_EQ(setenv("GANC_KERNEL", "sse2", /*overwrite=*/1), 0);
+  ASSERT_EQ(setenv("GANC_KERNEL", "avx2", /*overwrite=*/1), 0);
   ResetKernelDispatch();
-  EXPECT_EQ(ActiveKernelVariant(), KernelVariant::kSse2);
+  EXPECT_EQ(ActiveKernelVariant(), KernelVariant::kAvx2);
   EXPECT_STREQ(ActiveKernelSelection(), "env");
   ASSERT_EQ(unsetenv("GANC_KERNEL"), 0);
 }
 
-TEST(FactorKernelsTest, ProbeSelectionTimesEverySupportedVariant) {
+TEST(FactorKernelsTest, CpuidSelectsWidestSupportedVariant) {
   DispatchGuard guard;
   ASSERT_EQ(unsetenv("GANC_KERNEL"), 0);  // CI exports it for parity runs
   ResetKernelDispatch();
-  const KernelVariant active = ActiveKernelVariant();
-  EXPECT_TRUE(KernelVariantSupported(active));
-  EXPECT_STREQ(ActiveKernelSelection(), "probe");
-  const std::vector<double> probe = KernelProbeNsPerUser();
-  ASSERT_EQ(probe.size(), kNumKernelVariants);
-  for (size_t i = 0; i < kNumKernelVariants; ++i) {
-    const KernelVariant v = static_cast<KernelVariant>(i);
-    if (KernelVariantSupported(v)) {
-      EXPECT_GT(probe[i], 0.0) << KernelVariantName(v);
-    } else {
-      EXPECT_EQ(probe[i], 0.0) << KernelVariantName(v);
-    }
-  }
+  EXPECT_EQ(ActiveKernelVariant(), SupportedKernelVariants().back());
+  EXPECT_STREQ(ActiveKernelSelection(), "cpuid");
 }
+
+TEST(FactorKernelsTest, UnknownEnvVariantWarnsAndFallsBackToCpuid) {
+  DispatchGuard guard;
+  ASSERT_EQ(setenv("GANC_KERNEL", "sse2", /*overwrite=*/1), 0);
+  ResetKernelDispatch();
+  testing::internal::CaptureStderr();
+  const KernelVariant active = ActiveKernelVariant();
+  const std::string warning = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(unsetenv("GANC_KERNEL"), 0);
+  EXPECT_EQ(active, SupportedKernelVariants().back());
+  EXPECT_STREQ(ActiveKernelSelection(), "cpuid");
+  EXPECT_NE(warning.find("GANC_KERNEL=sse2"), std::string::npos) << warning;
+}
+
+// The census table (docs/ARCHITECTURE.md): AVX-512 keeps only its own
+// int8 kernel and runs AVX2's fp64 and fp32 kernels.
+TEST(FactorKernelsTest, Avx512TableRunsAvx2FloatKernelsAndOwnInt8) {
+  const KernelOps& avx2 = KernelOpsFor(KernelVariant::kAvx2);
+  const KernelOps& avx512 = KernelOpsFor(KernelVariant::kAvx512);
+  if (&avx512 == &KernelOpsFor(KernelVariant::kScalar)) {
+    GTEST_SKIP() << "avx512 kernels not compiled for this target";
+  }
+  EXPECT_EQ(avx512.batch_f64, avx2.batch_f64);
+  EXPECT_EQ(avx512.batch_f32, avx2.batch_f32);
+  EXPECT_NE(avx512.batch_i8, avx2.batch_i8);
+  EXPECT_NE(avx512.batch_i8, KernelOpsFor(KernelVariant::kScalar).batch_i8);
+}
+
+// Full blocks, every ragged single block, a ragged tail after a full
+// block, and many full blocks.
+constexpr size_t kBatchSizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 13, 64};
 
 // The tentpole contract on synthetic tables: every supported variant,
 // every precision, every bias combination, factor counts that exercise
@@ -180,7 +201,7 @@ TEST(FactorKernelsTest, AllVariantsBitIdenticalToScalarOnSyntheticViews) {
       for (const bool with_bias : {false, true}) {
         for (const bool with_base : {false, true}) {
           const FactorView view = f.View(with_bias, with_base);
-          for (const size_t batch : {1u, 8u, 13u}) {
+          for (const size_t batch : kBatchSizes) {
             const std::vector<UserId> users = RaggedBatch(nu, batch);
             const std::vector<double> reference =
                 ScoreWith(KernelVariant::kScalar, view, users);
@@ -231,34 +252,38 @@ TEST(FactorKernelsTest, FittedModelsBitIdenticalAcrossVariants) {
     for (auto& model : models) {
       ASSERT_TRUE(model->Fit(train).ok()) << model->name();
       ASSERT_TRUE(model->SetFactorPrecision(precision).ok()) << model->name();
-      const std::vector<UserId> users = RaggedBatch(train.num_users(), 13);
-      std::vector<double> reference;
-      for (const KernelVariant v : variants) {
-        ASSERT_TRUE(ForceKernelVariant(v).ok());
-        std::vector<double> batch(users.size() * ni);
-        model->ScoreBatchInto(users, batch);
-        if (v == KernelVariant::kScalar) {
-          reference = batch;
-          // The dispatched batch rows must equal the (non-dispatched)
-          // single-user path bit-for-bit at every precision.
-          std::vector<double> single(ni);
-          for (size_t b = 0; b < users.size(); ++b) {
-            model->ScoreInto(users[b], single);
-            for (size_t i = 0; i < ni; ++i) {
-              ASSERT_EQ(single[i], batch[b * ni + i])
-                  << model->name() << " precision "
-                  << FactorPrecisionName(precision) << " user " << users[b]
-                  << " item " << i;
+      for (const size_t batch_size : kBatchSizes) {
+        const std::vector<UserId> users =
+            RaggedBatch(train.num_users(), batch_size);
+        std::vector<double> reference;
+        for (const KernelVariant v : variants) {
+          ASSERT_TRUE(ForceKernelVariant(v).ok());
+          std::vector<double> batch(users.size() * ni);
+          model->ScoreBatchInto(users, batch);
+          if (v == KernelVariant::kScalar) {
+            reference = batch;
+            // The dispatched batch rows must equal the (non-dispatched)
+            // single-user path bit-for-bit at every precision.
+            std::vector<double> single(ni);
+            for (size_t b = 0; b < users.size(); ++b) {
+              model->ScoreInto(users[b], single);
+              for (size_t i = 0; i < ni; ++i) {
+                ASSERT_EQ(single[i], batch[b * ni + i])
+                    << model->name() << " precision "
+                    << FactorPrecisionName(precision) << " user " << users[b]
+                    << " item " << i;
+              }
             }
+            continue;
           }
-          continue;
-        }
-        ASSERT_EQ(reference.size(), batch.size());
-        for (size_t i = 0; i < reference.size(); ++i) {
-          ASSERT_EQ(reference[i], batch[i])
-              << model->name() << " precision "
-              << FactorPrecisionName(precision) << " variant "
-              << KernelVariantName(v) << " index " << i;
+          ASSERT_EQ(reference.size(), batch.size());
+          for (size_t i = 0; i < reference.size(); ++i) {
+            ASSERT_EQ(reference[i], batch[i])
+                << model->name() << " precision "
+                << FactorPrecisionName(precision) << " variant "
+                << KernelVariantName(v) << " batch " << batch_size
+                << " index " << i;
+          }
         }
       }
     }

@@ -19,10 +19,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/serialize.h"
 
 namespace ganc {
 namespace {
@@ -461,6 +466,55 @@ TEST_F(GancServeSubprocessTest, PublishSwapsSnapshotAndKeepsOldOnFailure) {
   serve.Send("QUIT");
   EXPECT_EQ(serve.ReadLine(), "OK bye");
   EXPECT_EQ(serve.CloseAndWait(), 0);
+}
+
+// Rewrites the pipeline artifact at `path` into `out` with its first
+// theta entry set to `theta0` and the theta section checksum re-sealed,
+// so only the load's range check can reject it.
+void WritePipelineWithFirstTheta(const std::string& path,
+                                 const std::string& out, double theta0) {
+  std::ifstream is(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(is)),
+                    std::istreambuf_iterator<char>());
+  std::istringstream stream(bytes, std::ios::binary);
+  auto r = ArtifactReader::OpenStream(stream);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->ReadSectionExpect(1).ok());
+  auto theta = r->ReadSectionExpect(2);
+  ASSERT_TRUE(theta.ok());
+  const size_t off =
+      static_cast<size_t>(theta->payload.data() - r->bytes()->view().data());
+  const size_t size = theta->payload.size();
+  std::memcpy(bytes.data() + off + 8, &theta0, sizeof(theta0));  // after u64
+  const uint64_t checksum = Fnv1aHash(bytes.data() + off, size);
+  for (int i = 0; i < 8; ++i) {
+    bytes[off + size + static_cast<size_t>(i)] =
+        static_cast<char>(checksum >> (8 * i));
+  }
+  std::ofstream os(out, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(GancServeSubprocessTest, PipelineWithThetaOutsideUnitIntervalExits) {
+  const std::string gap = *dir_ + "/dyn.gap";
+  ASSERT_EQ(RunToCompletion({GANC_CLI_BINARY, "train",
+                             "--dataset-cache=" + *cache_, "--arec=psvd10",
+                             "--theta=g", "--crec=dyn", "--seed=7",
+                             "--save-pipeline=" + gap}),
+            0);
+  const std::string half = *dir_ + "/dyn_theta_half.gap";
+  const std::string bad = *dir_ + "/dyn_theta_1_5.gap";
+  WritePipelineWithFirstTheta(gap, half, 0.5);
+  WritePipelineWithFirstTheta(gap, bad, 1.5);
+  const auto flags = [&](const std::string& pipeline) {
+    return std::vector<std::string>{"--dataset-cache=" + *cache_, "--seed=7",
+                                    "--pipeline=" + pipeline,
+                                    "--default-n=5"};
+  };
+  ServeProcess served(flags(half));  // the patch alone keeps it loadable
+  EXPECT_EQ(served.CloseAndWait(), 0);
+  ServeProcess refused(flags(bad));
+  EXPECT_NE(refused.CloseAndWait(), 0);
 }
 
 TEST_F(GancServeSubprocessTest, InProcessShardsMatchUnshardedByteForByte) {

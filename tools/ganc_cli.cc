@@ -155,9 +155,10 @@ void Usage() {
       "                One-shot scrape of a listening ganc_serve: sends\n"
       "                METRICS and prints the text exposition to stdout.\n"
       "\n"
-      "kernels:        report the scoring kernel dispatch (variants,\n"
-      "                probe timings, active choice); --list prints one\n"
-      "                host-supported GANC_KERNEL name per line.\n");
+      "kernels:        report the scoring kernel dispatch (variants, the\n"
+      "                kernel each runs per precision, active choice);\n"
+      "                --list prints one host-supported GANC_KERNEL name\n"
+      "                per line.\n");
 }
 
 Result<std::unique_ptr<Recommender>> BuildArec(const std::string& name) {
@@ -1044,17 +1045,27 @@ int Kernels(const Flags& flags) {
     }
     return 0;
   }
+  // Whose kernel a table slot runs: the narrowest variant whose table
+  // holds the same function there.
+  const auto owner = [](KernelVariant v, BatchKernelFn KernelOps::*slot) {
+    for (size_t i = 0; i < kNumKernelVariants; ++i) {
+      const KernelVariant w = static_cast<KernelVariant>(i);
+      if (KernelOpsFor(w).*slot == KernelOpsFor(v).*slot) {
+        return KernelVariantName(w);
+      }
+    }
+    return KernelVariantName(v);
+  };
   const KernelVariant active = ActiveKernelVariant();
-  const std::vector<double> probe = KernelProbeNsPerUser();
   std::printf("scoring kernel dispatch (block of %zu users):\n",
               kFactorKernelUserBlock);
   for (size_t i = 0; i < kNumKernelVariants; ++i) {
     const KernelVariant v = static_cast<KernelVariant>(i);
-    std::printf("  %-7s %-11s", KernelVariantName(v),
-                KernelVariantSupported(v) ? "supported" : "unsupported");
-    if (probe[i] > 0.0) {
-      std::printf("  probe %8.1f ns/user", probe[i]);
-    }
+    std::printf("  %-7s %-11s  fp64=%s fp32=%s int8=%s", KernelVariantName(v),
+                KernelVariantSupported(v) ? "supported" : "unsupported",
+                owner(v, &KernelOps::batch_f64),
+                owner(v, &KernelOps::batch_f32),
+                owner(v, &KernelOps::batch_i8));
     if (v == active) std::printf("  <-- active");
     std::printf("\n");
   }
